@@ -17,7 +17,7 @@ from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     UnattainableTargetError, approx_throughput,
                     check_constraints, exact_throughput, interference_at,
                     sinr_absent, sinr_present, total_approx_throughput)
-from .power_opt import (DcIterate, PowerSolveResult, dc_split, solve_power,
+from .power_opt import (PowerIterate, PowerSolveResult, dc_split, solve_power,
                         surrogate_throughput, v_gradient)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        optimal_sensing_time, run_interruption_sweep, run_sweep)

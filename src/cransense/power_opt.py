@@ -1,14 +1,15 @@
-"""SCA power allocation: D.C. split, first-order surrogate, feasible ascent.
+"""Step 3 power allocation: interference pricing on (RRH, sub-carrier) slots.
 
-The non-concave throughput is written as u - v with both parts concave in
-p; v is replaced by its first-order Taylor expansion at the previous
-iterate, giving a concave global minorant that coincides with the true
-objective at the anchor. Each inner problem is solved by projected gradient
-ascent with Armijo backtracking: the per-RRH power budget is a box/simplex
-projection and the slice-rate constraint is maintained by accepting only
-surrogate-feasible steps (the surrogate being a minorant, surrogate-feasible
-implies truly feasible). Ascent from a feasible anchor therefore yields a
-non-decreasing, always-feasible true-objective sequence.
+C5 leaves one user per slot and C4/C6 keep each user on one RRH, so power is
+an (R, K) decision. Gauss-Seidel sweeps update one RRH at a time: the other
+cells' rates are convex in the interference they receive, so their tangent
+is a global minorant whose slope prices the RRH's power (Huang, Berry &
+Honig, IEEE JSAC 2006), and the priced block problem is water-filling under
+the RRH budget. Slice weights raised on short slices enforce C10. A block
+update is kept only if the true objective does not fall and no slice floor
+breaks, so iterates are feasible and monotone. dc_split, v_gradient and
+surrogate_throughput, the D.C. form on (R, K, N) tensors, are kept as
+reference formulas.
 """
 
 from __future__ import annotations
@@ -18,14 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (LN2, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, interference_map, slice_rates)
+                    RadioParams, SensingParams, interference_map)
+
+# Share of the budget filled when it binds: keeps sum(p) <= pmax under any
+# summation order of the scattered (R, K, N) tensor.
+_BUDGET_FILL = 1.0 - 1e-12
+_MAX_WEIGHT = 1e12  # cap on the slice weights 1 + mu
+_MAX_STALLS = 30  # sweeps in a row that move power by at most zeta yet raise weights
 
 
 @dataclass
-class DcIterate:
-    power: np.ndarray
-    surrogate_objective: float
+class PowerIterate:
+    power: np.ndarray  # (R, K, N) after one Gauss-Seidel sweep
     true_objective: float
+    # Frank-Wolfe gap of the slice-weighted objective over the feasible slot
+    # powers, divided by 1 + |true_objective|; zero exactly at a KKT point.
     inner_kkt_residual: float
 
 
@@ -63,21 +71,6 @@ def dc_split(power, beta, tau, channel: ChannelState, sensing: SensingParams,
     return u, v
 
 
-def _a_factor(power, c, channel, radio, own=False):
-    """c / (ln2 * (sigma0^2 + I [+ p*h]))  -- the log-derivative prefactor."""
-    inter = interference_map(power, channel.downlink_gain)
-    denom = radio.noise_power + inter
-    if own:
-        denom = denom + power * channel.downlink_gain
-    return c / (LN2 * denom)
-
-
-def _cross_contract(a, gain):
-    """G[r',k,n'] = sum over r != r', n != n' of a[r,k,n] * gain[r',k,n]."""
-    b1 = gain * (a.sum(axis=0)[None, :, :] - a)
-    return b1.sum(axis=2)[:, :, None] - b1
-
-
 def v_gradient(power, beta, tau, channel: ChannelState, sensing: SensingParams,
                radio: RadioParams) -> np.ndarray:
     """Gradient of the summed subtrahend v with respect to every power.
@@ -87,8 +80,11 @@ def v_gradient(power, beta, tau, channel: ChannelState, sensing: SensingParams,
     (ln2 * (I[r,k,n] + sigma0^2)) for r' != r, n' != n.
     """
     c = _cell_coeff(beta, tau, channel, sensing)
-    a = _a_factor(power, c, channel, radio, own=False)
-    return _cross_contract(a, channel.downlink_gain)
+    gain = channel.downlink_gain
+    a = c / (LN2 * (radio.noise_power + interference_map(power, gain)))
+    # G[r',k,n'] = sum over r != r', n != n' of a[r,k,n] * gain[r',k,n].
+    b1 = gain * (a.sum(axis=0)[None, :, :] - a)
+    return b1.sum(axis=2)[:, :, None] - b1
 
 
 def surrogate_throughput(power, power_prev, beta, tau, channel: ChannelState,
@@ -109,132 +105,135 @@ def surrogate_throughput(power, power_prev, beta, tau, channel: ChannelState,
 
 
 def project_power_budget(power: np.ndarray, max_power: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum over (k,n) per RRH <= pmax}."""
+    """Euclidean projection onto {p >= 0, sum of each RRH's entries <= pmax}."""
     out = np.clip(power, 0.0, None)
-    for r in range(out.shape[0]):
-        cap = max_power[r]
-        vec = out[r].ravel()
-        total = vec.sum()
-        if total <= cap:
-            continue
-        # Sort-based projection onto the simplex of radius cap.
-        srt = np.sort(vec)[::-1]
-        css = np.cumsum(srt) - cap
-        idx = np.arange(1, len(srt) + 1)
-        rho = np.max(idx[srt - css / idx > 0])
-        theta = css[rho - 1] / rho
-        out[r] = np.clip(vec - theta, 0.0, None).reshape(out[r].shape)
+    flat = out.reshape(out.shape[0], -1)
+    over = flat.sum(axis=1) > max_power
+    # Sort-based projection of each over-budget row onto its simplex.
+    srt = -np.sort(-flat[over], axis=1)
+    css = np.cumsum(srt, axis=1) - max_power[over, None]
+    rho = (srt - css / np.arange(1, flat.shape[1] + 1) > 0).sum(axis=1)
+    theta = css[np.arange(rho.size), rho - 1] / rho
+    flat[over] = np.clip(flat[over] - theta[:, None], 0.0, None)
     return out
 
 
-def _surrogate_state(p, anchor_a, anchor_lin, c, channel, radio, dims):
-    """Total and per-slice surrogate at p given anchor-derived constants."""
-    gain = channel.downlink_gain
-    inter = interference_map(p, gain)
-    u = c * np.log2(radio.noise_power + inter + p * gain)
-    cells = u - anchor_lin - anchor_a * inter
-    return float(cells.sum()), slice_rates(cells, dims), inter
+class _Slots:
+    """The objective restricted to the assigned slots; arrays are (R, K)."""
 
+    def __init__(self, beta, tau, channel, dims, sensing, radio):
+        beta = np.asarray(beta) > 0
+        checks = ((beta.sum(axis=2) > 1, "several users in slot (rrh {}, sub-carrier {}) (C5)"),
+                  (beta.any(axis=1).sum(axis=0) > 1, "user {} on several RRHs (C4/C6)"))
+        for bad, what in checks:
+            if bad.any():
+                raise ValueError("beta puts " + what.format(*np.argwhere(bad)[0].tolist()))
+        R = beta.shape[0]
+        self.beta = beta
+        # cross[s, r, k] = g[s, k, n(r, k)]; the diagonal (own gains) moves to h.
+        self.cross = np.einsum("skn,rkn->srk", channel.downlink_gain, beta)
+        self.h = self.cross[np.arange(R), np.arange(R)].copy()
+        self.cross[np.arange(R), np.arange(R)] = 0.0
+        self.c = _cell_coeff(beta, tau, channel, sensing).sum(axis=2)
+        self.on = (self.c > 0) & (self.h > 0)
+        self.slice = (beta * dims.user_slice).sum(axis=2)
+        self.noise = radio.noise_power
+        self.pmax = radio.max_power_per_rrh(R)
+        self.rsv = radio.reserved_rate_per_slice(dims.num_slices)
 
-def _inner_solve(p0, beta, tau, channel, sensing, radio, dims, max_inner,
-                 c10_slack=1e-9):
-    """Maximize the surrogate anchored at p0 over C9 and the slice minimums."""
-    c = _cell_coeff(beta, tau, channel, sensing)
-    gain = channel.downlink_gain
-    pmax = radio.max_power_per_rrh(dims.num_rrhs)
-    rsv = radio.reserved_rate_per_slice(dims.num_slices)
-    scale = np.maximum(rsv, 1.0)
+    def scatter(self, p):
+        return p[:, :, None] * self.beta
 
-    inter0 = interference_map(p0, gain)
-    anchor_a = c / (LN2 * (radio.noise_power + inter0))
-    # v(p0) minus the gradient term at p0 folds into one constant per cell.
-    anchor_lin = c * np.log2(radio.noise_power + inter0) - anchor_a * inter0
+    def evaluate(self, p):
+        """Interference, total rate and per-slice rates at p."""
+        inter = np.einsum("srk,sk->rk", self.cross, p)
+        rates = self.c * np.log2(1.0 + p * self.h / (self.noise + inter))
+        per_slice = np.bincount(self.slice.ravel(), rates.ravel(), self.rsv.size)
+        return inter, float(rates.sum()), per_slice
 
-    slice_of_cell = dims.user_slice  # (N,)
-    mu = np.zeros(dims.num_slices)
+    def gradient(self, p, inter, weight):
+        """Gradient of sum(weight * rate) in p, and its interference price part."""
+        own = self.noise + inter + p * self.h
+        # Slope of each cell's weighted rate in its received interference (<= 0).
+        slope = weight * self.c / LN2 * (1.0 / own - 1.0 / (self.noise + inter))
+        price = -np.einsum("rsk,sk->rk", self.cross, slope)
+        return weight * self.c * self.h / (LN2 * own) - price, price
 
-    p = p0.copy()
-    obj, per_slice, inter = _surrogate_state(p, anchor_a, anchor_lin, c, channel, radio, dims)
-    step = 1.0
-    kkt = np.inf
-    for _ in range(max_inner):
-        # Gradient of surrogate + mu-weighted slice surrogates.
-        wcell = (1.0 + mu[slice_of_cell])[None, None, :]
-        cw = c * wcell
-        denom_u = radio.noise_power + inter + p * gain
-        au = cw / (LN2 * denom_u)
-        grad = au * gain + _cross_contract(au, gain) - _cross_contract(anchor_a * wcell, gain)
+    def block(self, r, p, inter, weight):
+        """Maximize RRH r's weighted own rates minus its priced interference."""
+        on, cap = self.on[r], self.pmax[r]
+        amp = weight[r, on] * self.c[r, on] / LN2
+        inv_snr = (self.noise + inter[r, on]) / self.h[r, on]
+        price = self.gradient(p, inter, weight)[1][r, on]
 
-        kkt = float(np.linalg.norm(project_power_budget(p + grad, pmax) - p))
-        if kkt <= 1e-10 * (1.0 + float(np.linalg.norm(p))):
-            break
-
-        accepted = False
-        t = step
-        for _ in range(40):
-            cand = project_power_budget(p + t * grad, pmax)
-            diff = cand - p
-            if float(np.linalg.norm(diff)) <= 1e-14 * (1.0 + float(np.linalg.norm(p))):
+        def fill(lam):
+            return np.maximum(amp / (price + lam) - inv_snr, 0.0)
+        # fill(lam).sum() is convex and decreasing, so Newton started where
+        # the budget is still exceeded climbs monotonically to the root.
+        lam = float(np.max(amp / (cap + inv_snr) - price, initial=0.0))
+        for _ in range(100):
+            q = fill(lam)
+            excess = q.sum() - cap
+            if excess <= 1e-12 * cap:
                 break
-            cobj, cslice, cinter = _surrogate_state(cand, anchor_a, anchor_lin,
-                                                    c, channel, radio, dims)
-            ok_feas = bool(np.all(cslice >= rsv - c10_slack))
-            ok_obj = cobj >= obj + 1e-4 * float((grad * diff).sum())
-            if ok_feas and (ok_obj or cobj >= obj):
-                p, obj, per_slice, inter = cand, cobj, cslice, cinter
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # Blocked: refresh multipliers for near-active slice constraints.
-            near = (per_slice - rsv) < 1e-3 * scale
-            if np.any(near):
-                mu = np.clip(mu + np.where(near, 1.0, -0.5), 0.0, 1e4)
-                continue
-            break
-        step = min(max(t * 2.0, 1e-8), 1e6)
-    return p, obj, kkt
+            lam += excess / float((amp / (price + lam) ** 2)[q > 0].sum())
+        out = np.zeros_like(p[r])
+        out[on] = fill(lam)
+        if out.sum() > cap * _BUDGET_FILL:
+            out *= cap * _BUDGET_FILL / out.sum()
+        return out
+
+    def kkt_gap(self, p, inter, weight):
+        """Frank-Wolfe gap, max over feasible q of grad.(q - p), summed over RRHs."""
+        grad, _ = self.gradient(p, inter, weight)
+        best = np.where(self.on, grad, 0.0).max(axis=1, initial=0.0)
+        return float(np.maximum(self.pmax * best - (grad * p).sum(axis=1), 0.0).sum())
 
 
 def solve_power(beta, tau, p_init, channel: ChannelState, dims: NetworkDims,
                 sensing: SensingParams, radio: RadioParams,
-                zeta: float = 1e-3, max_iters: int = 200,
-                max_inner: int = 150) -> PowerSolveResult:
-    """SCA loop: feasible, monotone iterates until the power change is small.
+                zeta: float = 1e-3, max_iters: int = 200) -> PowerSolveResult:
+    """Gauss-Seidel interference-pricing sweeps until the power change is small.
 
-    Raises InfeasibleError when p_init violates the slice minimum rates (the
-    warm start must be feasible for the monotone-feasibility guarantee).
+    beta must put at most one user in a slot (C5) and each user on one RRH
+    (C4/C6), else ValueError. Only the assigned cells of p_init are read,
+    projected onto the per-RRH budget; power on unassigned cells is ignored
+    and is exactly 0 W in every returned power tensor. InfeasibleError when
+    p_init misses a slice minimum rate: the warm start must be feasible.
+    converged is False when max_iters runs out, or when _MAX_STALLS sweeps
+    in a row move power by at most zeta while slice floors still block.
     """
-    pmax = radio.max_power_per_rrh(dims.num_rrhs)
-    p = project_power_budget(np.asarray(p_init, dtype=float), pmax)
-
-    def true_cells(pw):
-        c = _cell_coeff(beta, tau, channel, sensing)
-        inter = interference_map(pw, channel.downlink_gain)
-        g0 = pw * channel.downlink_gain / (radio.noise_power + inter)
-        return c * np.log2(1.0 + g0)
-
-    rsv = radio.reserved_rate_per_slice(dims.num_slices)
-    start_slice = slice_rates(true_cells(p), dims)
-    if np.any(start_slice < rsv - 1e-6):
-        worst = int(np.argmax(rsv - start_slice))
+    slots = _Slots(beta, tau, channel, dims, sensing, radio)
+    p = project_power_budget(np.where(slots.beta, p_init, 0.0).sum(axis=2), slots.pmax)
+    inter, obj, per_slice = slots.evaluate(p)
+    if np.any(per_slice < slots.rsv - 1e-6):
+        worst = int(np.argmax(slots.rsv - per_slice))
         raise InfeasibleError(
             f"initial power vector violates the reserved rate of slice {worst}",
             detail={"constraint": "C10", "slice": worst})
 
-    result = PowerSolveResult(power=p)
+    mu = np.zeros(dims.num_slices)
+    iterates, stalls = [], 0
     for _ in range(max_iters):
-        p_new, surr_obj, kkt = _inner_solve(p, beta, tau, channel, sensing,
-                                            radio, dims, max_inner)
-        true_obj = float(true_cells(p_new).sum())
-        result.iterates.append(DcIterate(power=p_new.copy(),
-                                         surrogate_objective=surr_obj,
-                                         true_objective=true_obj,
-                                         inner_kkt_residual=kkt))
-        delta = float(np.linalg.norm(p_new - p)) / (1.0 + float(np.linalg.norm(p)))
-        p = p_new
-        if delta <= zeta:
-            result.converged = True
+        p_prev, raised = p, False
+        for r in range(dims.num_rrhs):
+            cand = p.copy()
+            cand[r] = slots.block(r, p, inter, 1.0 + mu[slots.slice])
+            c_inter, c_obj, c_slice = slots.evaluate(cand)
+            # No slice may drop below its floor, nor below where it already
+            # is when the warm start sits within tolerance under it. A short
+            # slice gets a larger weight for the next block updates.
+            short = c_slice < np.minimum(slots.rsv, per_slice)
+            mu[short] = np.minimum(2.0 * mu[short] + 1.0, _MAX_WEIGHT)
+            raised |= bool(short.any())
+            if not short.any() and c_obj >= obj:
+                p, inter, obj, per_slice = cand, c_inter, c_obj, c_slice
+        gap = slots.kkt_gap(p, inter, 1.0 + mu[slots.slice])
+        iterates.append(PowerIterate(slots.scatter(p), obj, gap / (1.0 + abs(obj))))
+        quiet = np.linalg.norm(p - p_prev) <= zeta * (1.0 + np.linalg.norm(p_prev))
+        if quiet and not raised:
+            return PowerSolveResult(slots.scatter(p), iterates, converged=True)
+        stalls = stalls + 1 if quiet else 0
+        if stalls == _MAX_STALLS:
             break
-    result.power = p
-    return result
+    return PowerSolveResult(slots.scatter(p), iterates, converged=False)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .alternating import AltConfig, default_initialization, solve_joint
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, total_approx_throughput)
+                    RadioParams, SensingParams, check_constraints,
+                    total_approx_throughput)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -265,19 +266,28 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
                                       rrh_coords=spec.rrh_coords)
         # Instances are nested in the user count, so the previous grid
         # point's solution for this trial embeds feasibly here with the same
-        # objective; starting from the better of the two inits makes the
-        # per-trial throughput non-decreasing along the grid.
+        # objective. Solving from it and from the fresh init, and keeping
+        # the better answer, makes the per-trial throughput non-decreasing
+        # along the grid; the unsolved init cannot be ranked against the
+        # solved carry, as new users earn rate only once a solve powers
+        # them. An init that breaks a constraint is skipped when the carry
+        # exists: every block solve falls back from it, so its answer stays
+        # infeasible.
+        starts = [init]
         prev = None if carry is None else carry.get(trial)
         if prev is not None:
             warm = _pad_users(prev[1], prev[0], spec.dims)
-            if (total_approx_throughput(warm, channel, spec.sensing, spec.radio)
-                    > total_approx_throughput(init, channel, spec.sensing,
-                                              spec.radio)):
-                init = warm
-        alloc, _ = solve_joint(init, channel, spec.dims, spec.sensing, spec.radio, cfg)
+            residuals = check_constraints(init, spec.dims, spec.radio,
+                                          spec.sensing, channel)
+            starts = [init, warm] if max(residuals.values()) <= 1e-6 else [warm]
+        answers = [solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)[0]
+                   for start in starts]
+        values = [total_approx_throughput(a, channel, spec.sensing, spec.radio)
+                  for a in answers]
+        best = int(np.argmax(values))
         if carry is not None:
-            carry[trial] = (spec.dims.users_per_slice, alloc)
-        return total_approx_throughput(alloc, channel, spec.sensing, spec.radio)
+            carry[trial] = (spec.dims.users_per_slice, answers[best])
+        return values[best]
     if param == "num_rrhs":
         spec = _with_dims(base, num_rrhs=int(value),
                           fronthaul_cap=np.broadcast_to(

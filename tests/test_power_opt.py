@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
@@ -222,3 +224,132 @@ def test_infeasible_warm_start_raises(rng):
         solve_power(alloc.uav, alloc.sensing_time, np.zeros_like(alloc.power),
                     channel, dims, sensing, radio)
     assert exc.value.detail["constraint"] == "C10"
+
+
+def test_kkt_residual_vanishes_on_two_cell_instance():
+    dims = make_dims(S=2, R=2, B=2, K=1, Ns=1)
+    sensing = make_sensing()
+    radio = make_radio(noise=1.0, pmax=1.0)
+    gain = np.zeros((2, 1, 2))
+    gain[0, 0, 0], gain[1, 0, 1] = 2.0, 1.5
+    gain[0, 0, 1], gain[1, 0, 0] = 0.1, 0.15
+    channel = ChannelState(downlink_gain=gain, sensing_gain_sq=np.ones((2, 1)))
+    beta = np.zeros((2, 1, 2), dtype=int)
+    beta[0, 0, 0] = beta[1, 0, 1] = 1
+    p0 = np.zeros((2, 1, 2))
+    p0[0, 0, 0] = p0[1, 0, 1] = 0.5
+    res = solve_power(beta, np.full((2, 1), 0.02), p0, channel, dims, sensing,
+                      radio, zeta=1e-6)
+    assert res.converged
+    kkt = [it.inner_kkt_residual for it in res.iterates]
+    assert all(np.isfinite(kkt)) and min(kkt) >= 0.0
+    assert kkt[-1] <= 1e-6
+
+
+def test_interference_free_block_is_water_filling():
+    # One RRH serving two sub-carriers: a single block update is the exact
+    # water-filling optimum, p_k + 1/snr_k level on every used carrier.
+    dims = make_dims(S=1, R=1, B=1, K=2, Ns=2)
+    sensing = make_sensing()
+    radio = make_radio(noise=1.0, pmax=1.0)
+    gain = np.zeros((1, 2, 2))
+    gain[0, 0, 0], gain[0, 1, 1] = 4.0, 2.0
+    channel = ChannelState(downlink_gain=gain, sensing_gain_sq=np.ones((1, 2)))
+    beta = np.zeros((1, 2, 2), dtype=int)
+    beta[0, 0, 0] = beta[0, 1, 1] = 1
+    p0 = np.zeros((1, 2, 2))
+    p0[0, 1, 1] = 1.0
+    res = solve_power(beta, np.full((1, 2), 0.02), p0, channel, dims, sensing,
+                      radio, zeta=1e-9)
+    assert res.iterates[0].inner_kkt_residual <= 1e-10
+    q = res.power[0, [0, 1], [0, 1]]
+    assert q == pytest.approx([0.625, 0.375], rel=1e-9)
+
+
+def test_rejects_two_users_in_one_slot(rng):
+    dims, sensing, radio, channel, alloc = solve_instance(rng)
+    beta = alloc.uav.copy()
+    beta[0, 0, :] = 0
+    beta[0, 0, [0, 1]] = 1
+    with pytest.raises(ValueError, match="C5"):
+        solve_power(beta, alloc.sensing_time, alloc.power, channel, dims,
+                    sensing, radio)
+
+
+def test_rejects_one_user_on_two_rrhs(rng):
+    dims, sensing, radio, channel, alloc = solve_instance(rng)
+    beta = np.zeros_like(alloc.uav)
+    beta[0, 0, 2] = beta[1, 1, 2] = 1
+    with pytest.raises(ValueError, match="C4/C6"):
+        solve_power(beta, alloc.sensing_time, alloc.power, channel, dims,
+                    sensing, radio)
+
+
+def test_unassigned_power_of_the_warm_start_is_ignored(rng):
+    dims, sensing, radio, channel, alloc = solve_instance(rng)
+    noisy = alloc.power + rng.uniform(0.0, 0.1, size=alloc.power.shape) * (alloc.uav == 0)
+    clean = solve_power(alloc.uav, alloc.sensing_time, alloc.power, channel,
+                        dims, sensing, radio)
+    dirty = solve_power(alloc.uav, alloc.sensing_time, noisy, channel, dims,
+                        sensing, radio)
+    assert np.array_equal(clean.power, dirty.power)
+    assert np.all(dirty.power[alloc.uav == 0] == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(R=st.integers(1, 3), K=st.integers(1, 3), Ns=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), floor=st.sampled_from([0.0, 0.5, 0.95]),
+       o1=st.booleans())
+def test_property_iterates_feasible_monotone_and_clean(R, K, Ns, seed, floor, o1):
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=2, R=R, B=2, K=K, Ns=Ns, omax=8, cmax=8)
+    sensing = make_sensing()
+    channel = o1_channel(dims, rng) if o1 else random_channel(dims, rng)
+    radio = make_radio(noise=1.0 if o1 else 1e-13)
+    alloc = random_alloc(dims, rng)
+    # Power on unassigned cells too: the solver must ignore it.
+    p_init = alloc.power + rng.uniform(0.0, 0.2, size=alloc.power.shape) * (alloc.uav == 0)
+    base = slice_rates(approx_rate_cells(alloc, channel, sensing, radio), dims)
+    radio = make_radio(noise=radio.noise_power, rsv=float(base.min()) * floor)
+    rsv = radio.reserved_rate_per_slice(dims.num_slices)
+
+    res = solve_power(alloc.uav, alloc.sensing_time, p_init, channel, dims,
+                      sensing, radio)
+    traj = res.objective_trajectory
+    assert all(b >= a for a, b in zip(traj, traj[1:]))
+    pmax = radio.max_power_per_rrh(R)
+    probe = alloc.copy()
+    for it in res.iterates:
+        assert np.all(it.power >= 0.0)
+        assert np.all(it.power.sum(axis=(1, 2)) <= pmax)
+        assert np.all(it.power[alloc.uav == 0] == 0.0)
+        probe.power = it.power
+        rates = slice_rates(approx_rate_cells(probe, channel, sensing, radio), dims)
+        assert np.all(rates >= np.minimum(rsv, base) - 1e-9 * (1.0 + rsv))
+        assert it.inner_kkt_residual >= 0.0
+    assert traj[0] >= float(base.sum()) - 1e-9 * (1.0 + abs(float(base.sum())))
+
+
+def test_solve_stops_when_weights_cannot_unblock_the_floors():
+    # Both slices start exactly at their floors and every block move trades
+    # one slice's rate for the other's: the slice weights only climb, so
+    # the solve gives up after a bounded run of stalled sweeps, unconverged,
+    # and keeps the feasible start.
+    dims = make_dims(S=2, R=2, B=2, K=1, Ns=1)
+    sensing = make_sensing()
+    gain = np.array([[[1.0, 0.8]], [[0.8, 1.0]]])
+    channel = ChannelState(downlink_gain=gain, sensing_gain_sq=np.ones((2, 1)))
+    beta = np.zeros((2, 1, 2), dtype=int)
+    beta[0, 0, 0] = beta[1, 0, 1] = 1
+    tau = np.full((2, 1), 0.02)
+    p0 = np.zeros((2, 1, 2))
+    p0[0, 0, 0], p0[1, 0, 1] = 0.3, 0.6
+    start = Allocation(sensing_time=tau, power=p0, uav=beta,
+                       rrh_assoc=np.eye(2, dtype=int), bbu_assoc=np.eye(2, dtype=int))
+    radio = make_radio(noise=1.0)
+    floors = slice_rates(approx_rate_cells(start, channel, sensing, radio), dims)
+    radio = make_radio(noise=1.0, rsv=floors)
+    res = solve_power(beta, tau, p0, channel, dims, sensing, radio, max_iters=200)
+    assert not res.converged
+    assert len(res.iterates) < 200
+    assert np.array_equal(res.power, p0)

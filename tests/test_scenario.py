@@ -148,6 +148,16 @@ def test_users_sweep_throughput_grows():
     assert rows[1]["mean_throughput"] > rows[0]["mean_throughput"]
 
 
+def test_users_sweep_serves_the_added_users():
+    # The padded 1-user answer is only one start at the 3-user point; the
+    # fresh init is solved too, so the added users get served and the gain
+    # is far above round-off.
+    sweep = SweepSpec(swept_parameter="num_users", grid=(1, 3),
+                      trials_per_point=3, base=small_spec(seed=1))
+    rows = run_sweep(sweep)
+    assert rows[1]["mean_throughput"] > 1.01 * rows[0]["mean_throughput"]
+
+
 def test_pfa_sweep_row_schema():
     spec = small_spec(seed=1)
     sweep = SweepSpec(swept_parameter="target_pfa", grid=(0.1, 0.3),
