@@ -13,8 +13,8 @@ from .alternating import AltConfig, default_initialization, solve_joint
 from .assoc_opt import AssocSolveResult, linearize_c7, solve_association
 from .gaussian import Tolerance, q_func, q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, SolveReport,
-                    UnattainableTargetError, approx_throughput,
+                    RadioParams, SearchTruncatedError, SensingParams,
+                    SolveReport, UnattainableTargetError, approx_throughput,
                     check_constraints, exact_throughput, interference_at,
                     sinr_absent, sinr_present, total_approx_throughput)
 from .power_opt import (PowerIterate, PowerSolveResult, dc_split, solve_power,

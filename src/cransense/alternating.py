@@ -16,8 +16,8 @@ import numpy as np
 from . import assoc_opt, power_opt, sensing_opt
 from .gaussian import q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, SolveReport, check_constraints,
-                    total_approx_throughput)
+                    RadioParams, SearchTruncatedError, SensingParams,
+                    SolveReport, check_constraints, total_approx_throughput)
 from .sensing import alpha
 
 
@@ -160,7 +160,11 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
             alloc.rrh_assoc = s2.rrh_assoc
             alloc.bbu_assoc = s2.bbu_assoc
             alloc.linkage = s2.linkage
+            if not s2.proven_optimal:
+                report.assoc_truncated.append(it)
         except InfeasibleError as err:
+            if isinstance(err, SearchTruncatedError):
+                report.assoc_truncated.append(it)
             if config.fallback_on_infeasible_step == "abort":
                 raise InfeasibleError(f"step2 infeasible: {err}", err.detail) from err
             report.step_fallbacks.append((it, "step2", str(err)))

@@ -6,7 +6,10 @@ at most one user per (r, k) slot (C5), keep every user on a single RRH
 feasibility check (C3/C7/C8 via the y linearization), and meet the slice
 minimum rates (C10). The search branches slot by slot in descending
 best-rate order with an admissible per-slot bound, so the first leaf is the
-greedy solution and the certified optimum follows.
+greedy solution and the certified optimum follows. The bound table (best
+allowed rate per slice and slot) depends only on the user->RRH map, so it is
+built once per user assignment and shared by every node below it that
+assigns no new user; a node only sums its tail.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, interference_map, sinr_absent,
-                    slice_rates)
+                    RadioParams, SearchTruncatedError, SensingParams,
+                    interference_map, sinr_absent, slice_rates)
 
 _TIE_TOL = 1e-12
 
@@ -93,11 +96,14 @@ class _Search:
         self.slot_r = slot_r
         self.slot_k = slot_k
         self.dims = dims
-        self.rsv = rsv
+        self.floor = rsv - 1e-9                 # C10 with the search's tolerance
         self.node_limit = node_limit
         N = dims.num_users
         self.user_slice = dims.user_slice
-        self.slice_masks = [self.user_slice == s for s in range(dims.num_slices)]
+        # (Ns, num_slots, N): each slice's users' rates, zero elsewhere.
+        in_slice = self.user_slice == np.arange(dims.num_slices)[:, None]
+        self.slice_rates = np.where(in_slice[:, None, :], rates, 0.0)
+        self.rrh_ids = np.arange(dims.num_rrhs)[:, None]
         self.row_cap = dims.fronthaul_cap.sum(axis=1)
         self.total_cap = min(dims.num_bbus * dims.bbu_user_cap,
                              int(dims.fronthaul_cap.sum()))
@@ -112,34 +118,36 @@ class _Search:
         self.best = None
         self.prune_causes = {"bound": 0, "C10": 0, "capacity": 0}
         self.flow_cache = {}
-        # Per-slot candidate users by descending rate, zero-rate users skipped.
-        self.cand = []
-        for j in range(rates.shape[0]):
-            order = np.argsort(-rates[j], kind="stable")
-            self.cand.append([int(n) for n in order if rates[j, n] > 0.0])
+        # Per-slot candidate users by descending rate, zero-rate users
+        # skipped: the descending order puts each slot's positive rates first.
+        order = np.argsort(-rates, axis=1, kind="stable").tolist()
+        positive = (rates > 0.0).sum(axis=1).tolist()
+        self.cand = [row[:m] for row, m in zip(order, positive)]
 
     def feasible_counts(self, counts):
-        if np.any(counts > self.row_cap) or counts.sum() > self.total_cap:
-            return False
-        key = tuple(counts)
+        key = tuple(counts.tolist())
         hit = self.flow_cache.get(key)
         if hit is None:
-            val, _ = _max_flow(counts, self.dims.fronthaul_cap, self.dims.bbu_user_cap)
-            hit = val >= counts.sum() - 1e-9
+            if np.any(counts > self.row_cap) or counts.sum() > self.total_cap:
+                hit = False
+            else:
+                val, _ = _max_flow(counts, self.dims.fronthaul_cap, self.dims.bbu_user_cap)
+                hit = val >= counts.sum() - 1e-9
             self.flow_cache[key] = hit
         return hit
 
-    def bounds(self, i):
-        rem = self.rates[i:]
-        allowed = (self.assigned[None, :] < 0) | (self.assigned[None, :] == self.slot_r[i:, None])
-        vals = np.where(allowed, rem, 0.0)
-        per_slot = vals.max(axis=1)
-        total = float(per_slot.sum())
-        per_slice = np.array([float(np.where(m[None, :], vals, 0.0).max(axis=1).sum())
-                              for m in self.slice_masks])
-        return total, per_slice
+    def bound_table(self):
+        """Best allowed rate per (slice, slot) under the current user->RRH map.
 
-    def dfs(self, i):
+        Returns (vals, per_slot): vals is (Ns, num_slots), per_slot its max
+        over slices. Only a fresh user assignment changes the table, so a
+        node passes it on to every child that assigns none.
+        """
+        allowed = ((self.assigned < 0) | (self.assigned == self.rrh_ids))[self.slot_r]
+        vals = np.where(allowed, self.slice_rates, 0.0).max(axis=2)
+        return vals, vals.max(axis=0)
+
+    def dfs(self, i, table=None):
         if self.hit_limit:
             return
         self.nodes += 1
@@ -147,18 +155,23 @@ class _Search:
             self.hit_limit = True
             return
         if i == self.rates.shape[0]:
-            if np.all(self.slice_acc >= self.rsv - 1e-9):
+            if (self.slice_acc >= self.floor).all():
                 if self.obj_acc > self.best_obj + _TIE_TOL:
                     self.best_obj = self.obj_acc
                     self.best = (self.choice.copy(), self.assigned.copy())
             else:
                 self.prune_causes["C10"] += 1
             return
-        total, per_slice = self.bounds(i)
-        if self.obj_acc + total <= self.best_obj + _TIE_TOL:
+        if table is None:
+            table = self.bound_table()
+        vals, per_slot = table
+        # Sum along contiguous rows only: that matches, bit for bit, a table
+        # built for slots i: alone, whereas summing down a column changes
+        # the last bits and can flip a tie prune.
+        if self.obj_acc + float(per_slot[i:].sum()) <= self.best_obj + _TIE_TOL:
             self.prune_causes["bound"] += 1
             return
-        if np.any(self.slice_acc + per_slice < self.rsv - 1e-9):
+        if (self.slice_acc + vals[:, i:].sum(axis=1) < self.floor).any():
             self.prune_causes["C10"] += 1
             return
 
@@ -181,14 +194,14 @@ class _Search:
             self.choice[i] = n
             self.obj_acc += rate
             self.slice_acc[s] += rate
-            self.dfs(i + 1)
+            self.dfs(i + 1, None if fresh else table)
             self.choice[i] = -1
             self.obj_acc -= rate
             self.slice_acc[s] -= rate
             if fresh:
                 self.assigned[n] = -1
                 self.counts[r] -= 1
-        self.dfs(i + 1)  # leave the slot empty
+        self.dfs(i + 1, table)  # leave the slot empty
 
 
 def rate_table(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
@@ -251,6 +264,12 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
 
     search.dfs(0)
 
+    if search.best is None and search.hit_limit:
+        raise SearchTruncatedError(
+            f"association search stopped at node_limit={node_limit} before "
+            "finding a feasible assignment",
+            detail={"constraint": "node_limit", "nodes": search.nodes,
+                    "prunes": dict(search.prune_causes)})
     if search.best is None:
         cause = max(search.prune_causes, key=search.prune_causes.get)
         family = {"C10": "C10 (slice reserved rates)",

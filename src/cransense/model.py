@@ -34,6 +34,14 @@ class InfeasibleError(RuntimeError):
         self.detail = detail
 
 
+class SearchTruncatedError(InfeasibleError):
+    """A search hit its node limit before it found any feasible point.
+
+    Feasibility is undecided, not disproved; subclassing InfeasibleError
+    lets callers that fall back on infeasibility fall back here too.
+    """
+
+
 class UnattainableTargetError(ValueError):
     """The requested sensing targets cannot be met for any sample count."""
 
@@ -211,6 +219,8 @@ class SolveReport:
     constraint_residuals: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     step_fallbacks: list = field(default_factory=list)
+    # Outer iterations whose association search stopped at its node limit.
+    assoc_truncated: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

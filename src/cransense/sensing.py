@@ -108,8 +108,14 @@ def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
     (|h^HU|^2 ~ Exp(1) by default, matching the unit-variance complex
     Gaussian coefficient) and applies a uniform tau at every RRH; the trial
     is an interruption when the cooperative detection probability falls
-    below target_pd. Deterministic given the seed.
+    below target_pd. Deterministic given the seed. A trial does not say
+    which sub-carrier it draws, so a per-sub-carrier target_pfa must be
+    uniform; a non-uniform one raises ValueError.
     """
+    pfa = np.unique(np.asarray(params.target_pfa, dtype=float))
+    if pfa.size != 1:
+        raise ValueError("interruption_probability needs one target_pfa for "
+                         f"every sub-carrier, got {pfa.size} distinct values")
     if not (0.0 < tau <= params.frame_len):
         raise ValueError("tau must lie in (0, frame_len]")
     if num_trials < 1:
@@ -120,8 +126,7 @@ def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
     else:
         gains = np.asarray(gain_sampler(rng, num_trials, num_rrhs), dtype=float)
 
-    pfa = float(np.asarray(params.target_pfa, dtype=float).ravel()[0])
     tau_arr = np.full((num_rrhs, num_trials), tau)
     pd = detection_probability(tau_arr, params.sampling_freq, params.hvwn_snr,
-                               gains.T, pfa)
+                               gains.T, float(pfa[0]))
     return float(np.mean(pd < params.target_pd))

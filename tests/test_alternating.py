@@ -109,6 +109,29 @@ def test_report_bookkeeping(rng):
     assert set(report.wall_times) == {"step1", "step2", "step3"}
     assert all(t >= 0 for t in report.wall_times.values())
     assert report.step_fallbacks == []
+    assert report.assoc_truncated == []
+
+
+def test_truncated_association_is_reported(rng):
+    dims = make_dims(R=2, K=2, Ns=2)
+    sensing = make_sensing()
+    radio = make_radio(rsv=0.0)
+    channel = stable_channel(dims, rng)
+    init = default_initialization(channel, dims, sensing, radio)
+    # Power on every cell gives every user a rate, so the warm-started
+    # search cannot close at the root; from iteration 1 on, power sits only
+    # on the incumbent's cells and the root bound proves it optimal.
+    init.power = np.full_like(init.power, 1.0 / (dims.num_subcarriers * dims.num_users))
+    _, report = solve_joint(init, channel, dims, sensing, radio,
+                            AltConfig(assoc_node_limit=1))
+    assert report.assoc_truncated == [0]
+    assert all(step != "step2" for _, step, _ in report.step_fallbacks)
+    # Cold start: a cut search has no incumbent, so step 2 falls back.
+    _, report = solve_joint(init, channel, dims, sensing, radio,
+                            AltConfig(assoc_node_limit=1, warm_start=False))
+    assert report.assoc_truncated == list(range(report.iterations))
+    assert [it for it, step, _ in report.step_fallbacks if step == "step2"] \
+        == report.assoc_truncated
 
 
 def test_abort_mode_propagates_infeasibility(rng):

@@ -2,13 +2,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
+from cransense import assoc_opt
 from cransense.assoc_opt import (_max_flow, linearize_c7, rate_table,
                                  solve_association)
-from cransense.model import (Allocation, InfeasibleError, approx_rate_cells,
-                             check_constraints)
+from cransense.model import (Allocation, InfeasibleError, SearchTruncatedError,
+                             approx_rate_cells, check_constraints)
 
 
 def bbu_feasible_brute(assigned, dims):
@@ -195,6 +198,21 @@ def test_infeasible_slice_floor_raises(rng):
     assert exc.value.detail["constraint"] == "C10"
 
 
+def test_truncated_search_without_incumbent_is_not_infeasibility(rng):
+    dims = tiny_dims()
+    sensing = make_sensing()
+    radio = make_radio(rsv=0.0)  # no slice floor: beta = 0 is feasible
+    channel = random_channel(dims, rng)
+    tau = np.full((2, 2), 0.02)
+    power = rng.uniform(0, 0.2, size=(2, 2, 4))
+    with pytest.raises(SearchTruncatedError) as exc:
+        solve_association(tau, power, channel, dims, sensing, radio, node_limit=1)
+    assert isinstance(exc.value, InfeasibleError)  # fallbacks still catch it
+    assert exc.value.detail["constraint"] == "node_limit"
+    assert exc.value.detail["nodes"] == 2
+    assert set(exc.value.detail["prunes"]) == {"bound", "C10", "capacity"}
+
+
 def test_deterministic_across_repeats(rng):
     dims = tiny_dims()
     sensing = make_sensing()
@@ -207,3 +225,65 @@ def test_deterministic_across_repeats(rng):
     assert np.array_equal(a.uav, b.uav)
     assert np.array_equal(a.bbu_assoc, b.bbu_assoc)
     assert a.objective == b.objective
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), omax=st.integers(1, 3),
+       cmax=st.integers(1, 2), floor=st.sampled_from([0.0, 0.3, 0.6]))
+def test_property_matches_brute_force(seed, omax, cmax, floor):
+    rng = np.random.default_rng(seed)
+    dims = tiny_dims(omax=omax, cmax=cmax)
+    sensing = make_sensing()
+    channel = random_channel(dims, rng)
+    tau = np.full((2, 2), 0.02)
+    power = rng.uniform(0, 0.2, size=(2, 2, 4))
+    rates = rate_table(tau, power, channel, sensing, make_radio())
+    rsv = floor * float(rates.max())
+    radio = make_radio(rsv=rsv)
+    oracle = brute_force_association(rates, dims, np.full(2, rsv))
+    if np.isinf(oracle):
+        with pytest.raises(InfeasibleError):
+            solve_association(tau, power, channel, dims, sensing, radio)
+        return
+    res = solve_association(tau, power, channel, dims, sensing, radio)
+    assert res.proven_optimal
+    assert res.objective == pytest.approx(oracle, abs=1e-9)
+
+
+# Search fingerprints of three seeded mid-size instances: a change to the
+# bound, the branching order or the pruning must show up here.
+# (seed, R, K, Ns, omax, cmax, floor as a fraction of the best cell rate)
+PINNED_SEARCHES = [
+    ((0, 4, 4, 3, 3, 1, 0.0), 836, 2.792942868086571,
+     {"bound": 615, "C10": 0, "capacity": 38}),
+    ((1, 3, 4, 3, 2, 1, 0.3), 2583, 4.148783205030124,
+     {"bound": 1642, "C10": 5, "capacity": 1436}),
+    ((7, 4, 4, 2, 3, 2, 0.8), 1001, 2.4900153734268495,
+     {"bound": 651, "C10": 2, "capacity": 0}),
+]
+
+
+@pytest.mark.parametrize("case,nodes,objective,prunes", PINNED_SEARCHES)
+def test_search_is_pinned(monkeypatch, case, nodes, objective, prunes):
+    seed, R, K, Ns, omax, cmax, floor = case
+    searches = []
+
+    class Recording(assoc_opt._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(assoc_opt, "_Search", Recording)
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=2, R=R, B=2, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    sensing = make_sensing()
+    channel = random_channel(dims, rng)
+    tau = np.full((R, K), 0.02)
+    power = rng.uniform(0, 0.2, size=(R, K, dims.num_users))
+    rates = rate_table(tau, power, channel, sensing, make_radio())
+    radio = make_radio(rsv=floor * float(rates.max()))
+    res = solve_association(tau, power, channel, dims, sensing, radio)
+    assert res.proven_optimal
+    assert res.nodes_explored == nodes
+    assert res.objective == objective
+    assert searches[-1].prune_causes == prunes

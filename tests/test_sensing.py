@@ -145,6 +145,16 @@ def test_interruption_custom_sampler():
     assert p == 0.0
 
 
+def test_interruption_per_subcarrier_target_pfa():
+    scalar = make_sensing(pfa=0.2)
+    uniform = make_sensing(pfa=np.full(4, 0.2))
+    args = dict(num_rrhs=4, num_trials=500, seed=7)
+    assert interruption_probability(0.01, uniform, **args) == \
+        interruption_probability(0.01, scalar, **args)
+    with pytest.raises(ValueError, match="target_pfa"):
+        interruption_probability(0.01, make_sensing(pfa=np.array([0.1, 0.2])), **args)
+
+
 def test_interruption_validation():
     params = make_sensing()
     with pytest.raises(ValueError):
