@@ -11,18 +11,17 @@ __version__ = "0.1.0"
 
 from .alternating import AltConfig, default_initialization, solve_joint
 from .assoc_opt import AssocSolveResult, linearize_c7, solve_association
-from .gaussian import Tolerance, q_func, q_inv
+from .gaussian import q_func, q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     RadioParams, SearchTruncatedError, SensingParams,
-                    SolveReport, UnattainableTargetError, approx_throughput,
-                    check_constraints, exact_throughput, interference_at,
+                    SolveReport, UnattainableTargetError, check_constraints,
                     sinr_absent, sinr_present, total_approx_throughput)
 from .power_opt import (PowerIterate, PowerSolveResult, dc_split, solve_power,
                         surrogate_throughput, v_gradient)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        optimal_sensing_time, run_interruption_sweep, run_sweep)
-from .sensing import (SensingOutcome, alpha, detection_probability,
-                      interruption_probability, min_samples, min_samples_count)
+from .sensing import (alpha, detection_probability, interruption_probability,
+                      min_samples, min_samples_count)
 from .sensing_opt import SensingSolveResult, solve_sensing
 
 __all__ = [name for name in dir() if not name.startswith("_")]

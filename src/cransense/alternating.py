@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assoc_opt, power_opt, sensing_opt
-from .gaussian import q_inv
-from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SearchTruncatedError, SensingParams,
-                    SolveReport, check_constraints, total_approx_throughput)
-from .sensing import alpha
+from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
+                    InfeasibleError, NetworkDims, RadioParams,
+                    SearchTruncatedError, SensingParams, SolveReport,
+                    check_constraints, total_approx_throughput)
+from .sensing import detection_threshold
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,13 @@ class AltConfig:
 def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.ndarray:
     """Smallest uniform-per-k tau meeting the detection constraint, clamped to T."""
     R, K = channel.sensing_gain_sq.shape
-    nu = sensing.sampling_freq
-    lmax = np.sqrt(sensing.frame_len * nu)
-    floor = 1e-9 * lmax
-    pfa = sensing.pfa_per_subcarrier(K)
-    a_k = alpha(sensing.hvwn_snr, channel.sensing_gain_sq)
-    qinv_pd = q_inv(sensing.target_pd)
+    floor, lmax = sensing_opt.lambda_box(sensing)
+    b = detection_threshold(sensing, channel.sensing_gain_sq)
     tau = np.empty((R, K))
     for k in range(K):
-        b = (q_inv(pfa[k]) - a_k[k] * qinv_pd) / sensing.hvwn_snr
         gsum = channel.sensing_gain_sq[:, k].sum()
-        lam = floor if (b <= 0 or gsum <= 0) else np.clip(b / gsum, floor, lmax)
-        tau[:, k] = lam ** 2 / nu
+        lam = floor if (b[k] <= 0 or gsum <= 0) else np.clip(b[k] / gsum, floor, lmax)
+        tau[:, k] = lam ** 2 / sensing.sampling_freq
     return tau
 
 
@@ -131,11 +126,21 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
 def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
                 sensing: SensingParams, radio: RadioParams,
                 config: AltConfig = AltConfig()) -> tuple[Allocation, SolveReport]:
-    """Alternate the three block solves until the objective change is below epsilon."""
+    """Alternate the three block solves until the objective change is below epsilon.
+
+    converged is False when the final allocation breaks a constraint by more
+    than FEASIBILITY_TOL, even if the objective has settled.
+    """
     alloc = initial.copy()
     report = SolveReport()
     times = {"step1": 0.0, "step2": 0.0, "step3": 0.0}
     prev_obj = total_approx_throughput(alloc, channel, sensing, radio)
+
+    def fall_back(it, step, err):
+        """Abort with the error's own type, or keep the block's previous values."""
+        if config.fallback_on_infeasible_step == "abort":
+            raise type(err)(f"{step} infeasible: {err}", err.detail) from err
+        report.step_fallbacks.append((it, step, str(err)))
 
     for it in range(config.max_outer_iters):
         # Step 1: sensing times.
@@ -144,9 +149,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
             s1 = sensing_opt.solve_sensing(alloc, channel, dims, sensing, radio)
             alloc.sensing_time = s1.tau
         except InfeasibleError as err:
-            if config.fallback_on_infeasible_step == "abort":
-                raise InfeasibleError(f"step1 infeasible: {err}", err.detail) from err
-            report.step_fallbacks.append((it, "step1", str(err)))
+            fall_back(it, "step1", err)
         times["step1"] += time.perf_counter() - t0
 
         # Step 2: associations.
@@ -165,9 +168,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
         except InfeasibleError as err:
             if isinstance(err, SearchTruncatedError):
                 report.assoc_truncated.append(it)
-            if config.fallback_on_infeasible_step == "abort":
-                raise InfeasibleError(f"step2 infeasible: {err}", err.detail) from err
-            report.step_fallbacks.append((it, "step2", str(err)))
+            fall_back(it, "step2", err)
         times["step2"] += time.perf_counter() - t0
 
         # Zero the power of cells that lost their assignment; it only
@@ -184,15 +185,13 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
                                        max_iters=config.power_max_iters)
             alloc.power = s3.power
         except InfeasibleError as err:
-            if config.fallback_on_infeasible_step == "abort":
-                raise InfeasibleError(f"step3 infeasible: {err}", err.detail) from err
-            report.step_fallbacks.append((it, "step3", str(err)))
+            fall_back(it, "step3", err)
         times["step3"] += time.perf_counter() - t0
 
         obj = total_approx_throughput(alloc, channel, sensing, radio)
         report.objective_trajectory.append(obj)
-        report.residual_trajectory.append(
-            max(check_constraints(alloc, dims, radio, sensing, channel).values()))
+        report.constraint_residuals = check_constraints(alloc, dims, radio, sensing, channel)
+        report.residual_trajectory.append(max(report.constraint_residuals.values()))
         report.iterations = it + 1
         if abs(obj - prev_obj) <= config.epsilon:
             report.converged = True
@@ -200,5 +199,5 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
         prev_obj = obj
 
     report.wall_times = times
-    report.constraint_residuals = check_constraints(alloc, dims, radio, sensing, channel)
+    report.converged &= report.residual_trajectory[-1] <= FEASIBILITY_TOL
     return alloc, report

@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     RadioParams, SearchTruncatedError, SensingParams,
-                    interference_map, sinr_absent, slice_rates)
+                    rate_table, slice_rates)
 
 _TIE_TOL = 1e-12
 
@@ -202,18 +202,6 @@ class _Search:
                 self.assigned[n] = -1
                 self.counts[r] -= 1
         self.dfs(i + 1, table)  # leave the slot empty
-
-
-def rate_table(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
-               sensing: SensingParams, radio: RadioParams) -> np.ndarray:
-    """Per-cell rate earned if beta[r,k,n]=1, for fixed tau and p; (R, K, N)."""
-    K = channel.num_subcarriers
-    pfa = sensing.pfa_per_subcarrier(K)
-    inter = interference_map(power, channel.downlink_gain)
-    g0 = sinr_absent(power, channel.downlink_gain, inter, radio.noise_power)
-    frac = (sensing.frame_len - tau) / sensing.frame_len
-    return (frac[:, :, None] * sensing.idle_prob
-            * (1.0 - pfa)[None, :, None] * np.log2(1.0 + g0))
 
 
 def _deterministic_bbu_assignment(assigned, dims):

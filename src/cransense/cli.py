@@ -18,13 +18,15 @@ import numpy as np
 
 from . import __version__
 from .alternating import AltConfig, default_initialization, solve_joint
-from .model import InfeasibleError, NetworkDims, RadioParams, SensingParams
+from .model import (FEASIBILITY_TOL, InfeasibleError, NetworkDims,
+                    RadioParams, SearchTruncatedError, SensingParams)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        run_interruption_sweep, run_sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
+EXIT_TRUNCATED = 4  # a search hit its node limit before any feasible point
 
 DEFAULT_CONFIG = {
     "dims": {
@@ -211,7 +213,7 @@ def run_solve(cfg: dict, out_dir: Path, verbose: bool) -> list[str]:
     alloc, report = solve_joint(init, channel, spec.dims, spec.sensing,
                                 spec.radio, alt)
     worst = max(report.constraint_residuals, key=report.constraint_residuals.get)
-    if report.constraint_residuals[worst] > 1e-6:
+    if report.constraint_residuals[worst] > FEASIBILITY_TOL:
         raise InfeasibleError(
             f"final allocation violates {worst} by "
             f"{report.constraint_residuals[worst]:.3g}",
@@ -285,6 +287,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs = run_command(args.command, cfg, out_dir, args.verbose)
+    except SearchTruncatedError as err:
+        print(f"search truncated: {err}", file=sys.stderr)
+        return EXIT_TRUNCATED
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

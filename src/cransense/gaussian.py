@@ -8,31 +8,11 @@ usual 7-digit rational approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Shared numeric tolerances for iterative solves.
-
-    abs_tol doubles as the outer stopping threshold on objective change and
-    rel_tol as the inner stopping threshold on iterate change.
-    """
-
-    abs_tol: float = 1e-3
-    rel_tol: float = 1e-3
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 def q_func(x):
@@ -50,15 +30,19 @@ def q_func(x):
     return out
 
 
-def q_inv(p: float) -> float:
-    """Inverse of q_func on (0, 1).
+def q_inv(p):
+    """Inverse of q_func on (0, 1), element-wise on scalars or arrays.
 
     Q(x) = erfc(x / sqrt(2)) / 2, so the inverse is sqrt(2) * erfcinv(2p);
     erfcinv keeps both tails well-conditioned (2p near 0 and, via its own
     reflection, 2p near 2), unlike a Newton polish on Q itself whose
     correction is amplified by 1 / phi(x) deep in the upper tail.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValueError(f"q_inv requires p in (0, 1), got {p!r}")
-    return float(_SQRT2 * special.erfcinv(2.0 * p))
+    p = np.asarray(p, dtype=float)
+    bad = ~((p > 0.0) & (p < 1.0))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"q_inv requires p in (0, 1), got {float(p[bad].flat[0])!r}")
+    out = _SQRT2 * special.erfcinv(2.0 * p)
+    if out.ndim == 0:
+        return float(out)
+    return out

@@ -251,29 +251,34 @@ def interference_map(power: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return total[None, :, :] - per_rrh
 
 
-def interference_at(user: int, rrh: int, subcarrier: int,
-                    alloc: Allocation, channel: ChannelState) -> float:
-    """Interference seen by one (rrh, subcarrier, user) cell, in watts."""
-    return float(interference_map(alloc.power, channel.downlink_gain)[rrh, subcarrier, user])
+def idle_coeff(tau: np.ndarray, sensing: SensingParams) -> np.ndarray:
+    """Idle-rate coefficient (T - tau)/T * P0 * (1 - pfa_k) of every slot, (R, K).
+
+    tau is the (R, K) sensing time; the product keeps this left-to-right
+    order, on which the bits of every rate in the package depend.
+    """
+    T = sensing.frame_len
+    pfa = sensing.pfa_per_subcarrier(tau.shape[1])
+    return (T - tau) / T * sensing.idle_prob * (1.0 - pfa)
 
 
-def _sinr_grids(alloc: Allocation, channel: ChannelState, radio: RadioParams):
-    inter = interference_map(alloc.power, channel.downlink_gain)
-    g0 = sinr_absent(alloc.power, channel.downlink_gain, inter, radio.noise_power)
-    g1 = sinr_present(alloc.power, channel.downlink_gain, inter,
-                      radio.hvwn_interference, radio.noise_power)
-    return g0, g1
+def rate_table(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
+               sensing: SensingParams, radio: RadioParams) -> np.ndarray:
+    """Idle-dominant rate of every cell as if it were assigned, (R, K, N).
+
+    idle_coeff * log2(1 + SINR0); an allocation's per-cell throughput is
+    this table masked by its beta.
+    """
+    inter = interference_map(power, channel.downlink_gain)
+    g0 = sinr_absent(power, channel.downlink_gain, inter, radio.noise_power)
+    return idle_coeff(tau, sensing)[:, :, None] * np.log2(1.0 + g0)
 
 
 def approx_rate_cells(alloc: Allocation, channel: ChannelState,
                       sensing: SensingParams, radio: RadioParams) -> np.ndarray:
     """Approximated per-cell throughput (idle-dominant term only), (R, K, N)."""
-    T = sensing.frame_len
-    pfa = sensing.pfa_per_subcarrier(channel.num_subcarriers)
-    g0, _ = _sinr_grids(alloc, channel, radio)
-    frac = (T - alloc.sensing_time) / T  # (R, K)
-    return (alloc.uav * frac[:, :, None] * sensing.idle_prob
-            * (1.0 - pfa)[None, :, None] * np.log2(1.0 + g0))
+    return alloc.uav * rate_table(alloc.sensing_time, alloc.power, channel,
+                                  sensing, radio)
 
 
 def exact_rate_cells(alloc: Allocation, channel: ChannelState,
@@ -284,42 +289,14 @@ def exact_rate_cells(alloc: Allocation, channel: ChannelState,
     pfa = sensing.pfa_per_subcarrier(channel.num_subcarriers)
     pd = np.broadcast_to(np.asarray(pd_per_subcarrier, dtype=float),
                          (channel.num_subcarriers,))
-    g0, g1 = _sinr_grids(alloc, channel, radio)
+    inter = interference_map(alloc.power, channel.downlink_gain)
+    g0 = sinr_absent(alloc.power, channel.downlink_gain, inter, radio.noise_power)
+    g1 = sinr_present(alloc.power, channel.downlink_gain, inter,
+                      radio.hvwn_interference, radio.noise_power)
     frac = (T - alloc.sensing_time) / T
     idle = sensing.idle_prob * np.log2(1.0 + g0) * (1.0 - pfa)[None, :, None]
     busy = sensing.hvwn_active_prob * np.log2(1.0 + g1) * (1.0 - pd)[None, :, None]
     return alloc.uav * frac[:, :, None] * (idle + busy)
-
-
-def exact_throughput(rrh: int, subcarrier: int, user: int,
-                     alloc: Allocation, channel: ChannelState,
-                     sensing: SensingParams, radio: RadioParams,
-                     pfa_k: float, pd_k: float) -> float:
-    """Average throughput of one cell in bps/Hz."""
-    tau = alloc.sensing_time[rrh, subcarrier]
-    if tau > sensing.frame_len:
-        raise ValueError("sensing time exceeds frame length")
-    if not (0.0 <= pfa_k <= 1.0 and 0.0 <= pd_k <= 1.0):
-        raise ValueError("probabilities must be in [0, 1]")
-    g0, g1 = _sinr_grids(alloc, channel, radio)
-    frac = (sensing.frame_len - tau) / sensing.frame_len
-    idle = sensing.idle_prob * np.log2(1.0 + g0[rrh, subcarrier, user]) * (1.0 - pfa_k)
-    busy = sensing.hvwn_active_prob * np.log2(1.0 + g1[rrh, subcarrier, user]) * (1.0 - pd_k)
-    return float(alloc.uav[rrh, subcarrier, user] * frac * (idle + busy))
-
-
-def approx_throughput(rrh: int, subcarrier: int, user: int,
-                      alloc: Allocation, channel: ChannelState,
-                      sensing: SensingParams, radio: RadioParams,
-                      pfa_k: float) -> float:
-    """Idle-dominant approximation of the cell throughput in bps/Hz."""
-    tau = alloc.sensing_time[rrh, subcarrier]
-    if tau > sensing.frame_len:
-        raise ValueError("sensing time exceeds frame length")
-    g0, _ = _sinr_grids(alloc, channel, radio)
-    frac = (sensing.frame_len - tau) / sensing.frame_len
-    idle = sensing.idle_prob * np.log2(1.0 + g0[rrh, subcarrier, user]) * (1.0 - pfa_k)
-    return float(alloc.uav[rrh, subcarrier, user] * frac * idle)
 
 
 def slice_rates(rate_cells: np.ndarray, dims: NetworkDims) -> np.ndarray:
@@ -338,6 +315,10 @@ def total_approx_throughput(alloc: Allocation, channel: ChannelState,
 # ---------------------------------------------------------------------------
 # Constraint checker
 # ---------------------------------------------------------------------------
+
+# Largest constraint violation a returned allocation may carry.
+FEASIBILITY_TOL = 1e-6
+
 
 def check_constraints(alloc: Allocation, dims: NetworkDims, radio: RadioParams,
                       sensing: SensingParams, channel: ChannelState) -> dict:

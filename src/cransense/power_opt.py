@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (LN2, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, interference_map)
+                    RadioParams, SensingParams, idle_coeff, interference_map)
 
 # Share of the budget filled when it binds: keeps sum(p) <= pmax under any
 # summation order of the scattered (R, K, N) tensor.
@@ -52,18 +52,10 @@ class PowerSolveResult:
         return [it.true_objective for it in self.iterates]
 
 
-def _cell_coeff(beta, tau, channel, sensing):
-    """c[r,k,n] = beta * (T - tau)/T * P0 * (1 - pfa_k)."""
-    K = channel.num_subcarriers
-    pfa = sensing.pfa_per_subcarrier(K)
-    frac = (sensing.frame_len - tau) / sensing.frame_len
-    return beta * frac[:, :, None] * sensing.idle_prob * (1.0 - pfa)[None, :, None]
-
-
 def dc_split(power, beta, tau, channel: ChannelState, sensing: SensingParams,
              radio: RadioParams):
     """Concave pair (u, v) with u - v equal to the approximated throughput."""
-    c = _cell_coeff(beta, tau, channel, sensing)
+    c = beta * idle_coeff(tau, sensing)[:, :, None]
     inter = interference_map(power, channel.downlink_gain)
     base = radio.noise_power + inter
     u = c * np.log2(base + power * channel.downlink_gain)
@@ -79,7 +71,7 @@ def v_gradient(power, beta, tau, channel: ChannelState, sensing: SensingParams,
     terms contribute: d v[r,k,n] / d p[r',k,n'] = c * h[r',k,n] /
     (ln2 * (I[r,k,n] + sigma0^2)) for r' != r, n' != n.
     """
-    c = _cell_coeff(beta, tau, channel, sensing)
+    c = beta * idle_coeff(tau, sensing)[:, :, None]
     gain = channel.downlink_gain
     a = c / (LN2 * (radio.noise_power + interference_map(power, gain)))
     # G[r',k,n'] = sum over r != r', n != n' of a[r,k,n] * gain[r',k,n].
@@ -94,7 +86,7 @@ def surrogate_throughput(power, power_prev, beta, tau, channel: ChannelState,
     Because the interference is linear in p, the linear correction for cell
     (r,k,n) collapses to A_prev * (I(p) - I(p_prev)).
     """
-    c = _cell_coeff(beta, tau, channel, sensing)
+    c = beta * idle_coeff(tau, sensing)[:, :, None]
     gain = channel.downlink_gain
     inter = interference_map(power, gain)
     inter_prev = interference_map(power_prev, gain)
@@ -134,7 +126,7 @@ class _Slots:
         self.cross = np.einsum("skn,rkn->srk", channel.downlink_gain, beta)
         self.h = self.cross[np.arange(R), np.arange(R)].copy()
         self.cross[np.arange(R), np.arange(R)] = 0.0
-        self.c = _cell_coeff(beta, tau, channel, sensing).sum(axis=2)
+        self.c = beta.any(axis=2) * idle_coeff(tau, sensing)
         self.on = (self.c > 0) & (self.h > 0)
         self.slice = (beta * dims.user_slice).sum(axis=2)
         self.noise = radio.noise_power

@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .alternating import AltConfig, default_initialization, solve_joint
-from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, check_constraints,
-                    total_approx_throughput)
+from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
+                    InfeasibleError, NetworkDims, RadioParams, SensingParams,
+                    check_constraints, total_approx_throughput)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -272,16 +272,23 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         # solved carry, as new users earn rate only once a solve powers
         # them. An init that breaks a constraint is skipped when the carry
         # exists: every block solve falls back from it, so its answer stays
-        # infeasible.
+        # infeasible. Answers that break a constraint are dropped; with none
+        # left the trial is infeasible.
         starts = [init]
         prev = None if carry is None else carry.get(trial)
         if prev is not None:
             warm = _pad_users(prev[1], prev[0], spec.dims)
             residuals = check_constraints(init, spec.dims, spec.radio,
                                           spec.sensing, channel)
-            starts = [init, warm] if max(residuals.values()) <= 1e-6 else [warm]
-        answers = [solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)[0]
-                   for start in starts]
+            starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
+        solved = [solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)
+                  for start in starts]
+        answers = [alloc for alloc, report in solved
+                   if max(report.constraint_residuals.values()) <= FEASIBILITY_TOL]
+        if not answers:
+            raise InfeasibleError(
+                f"no joint solve of {value} users per slice ends feasible",
+                detail={"residuals": solved[-1][1].constraint_residuals})
         values = [total_approx_throughput(a, channel, spec.sensing, spec.radio)
                   for a in answers]
         best = int(np.argmax(values))

@@ -8,7 +8,6 @@ quantities broadcast naturally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,15 +15,6 @@ from .gaussian import q_func, q_inv
 from .model import SensingParams, UnattainableTargetError
 
 _ALPHA_POLE_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class SensingOutcome:
-    """Per-sub-carrier detection summary for one channel draw."""
-
-    pd_k: np.ndarray          # detection probability per sub-carrier
-    alpha_k: np.ndarray       # cooperative SNR factor per sub-carrier
-    min_samples_k: np.ndarray  # integer sample counts (ceil of the raw value)
 
 
 def alpha(hvwn_snr: float, sensing_gain_sq) -> float | np.ndarray:
@@ -51,16 +41,23 @@ def detection_probability(tau, sampling_freq: float, hvwn_snr: float,
     g = np.asarray(sensing_gain_sq, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("sensing times must be positive")
-    pfa = np.asarray(target_pfa, dtype=float)
-    if np.any(pfa <= 0) or np.any(pfa >= 1):
-        raise ValueError("target_pfa must be in (0, 1)")
 
     a = alpha(hvwn_snr, g)
-    qinv_pfa = (q_inv(float(pfa)) if pfa.ndim == 0
-                else np.array([q_inv(v) for v in pfa.ravel()]).reshape(pfa.shape))
     accum = (np.sqrt(tau * sampling_freq) * g).sum(axis=0)
-    arg = (qinv_pfa - hvwn_snr * accum) / a
+    arg = (q_inv(target_pfa) - hvwn_snr * accum) / a  # q_inv rejects pfa outside (0, 1)
     return q_func(arg)
+
+
+def detection_threshold(params: SensingParams, sensing_gain_sq) -> np.ndarray:
+    """Threshold b_k = (Q^-1(pfa_k) - alpha_k * Q^-1(pd)) / gamma_p, shape (K,).
+
+    With lambda = sqrt(tau * nu), the detection target on sub-carrier k
+    holds exactly when sum_r lambda[r, k] * |h^HU_rk|^2 >= b_k.
+    """
+    g = np.asarray(sensing_gain_sq, dtype=float)
+    pfa = params.pfa_per_subcarrier(g.shape[1])
+    return ((q_inv(pfa) - alpha(params.hvwn_snr, g) * q_inv(params.target_pd))
+            / params.hvwn_snr)
 
 
 def min_samples(alpha_k: float, target_pfa: float, target_pd: float) -> float:
@@ -81,22 +78,6 @@ def min_samples(alpha_k: float, target_pfa: float, target_pd: float) -> float:
 
 def min_samples_count(alpha_k: float, target_pfa: float, target_pd: float) -> int:
     return int(math.ceil(min_samples(alpha_k, target_pfa, target_pd)))
-
-
-def sensing_outcome(tau, params: SensingParams, sensing_gain_sq) -> SensingOutcome:
-    """Evaluate detection probability, alpha and sample requirements per k."""
-    g = np.atleast_2d(np.asarray(sensing_gain_sq, dtype=float))
-    K = g.shape[1]
-    pfa = params.pfa_per_subcarrier(K)
-    a = alpha(params.hvwn_snr, g)
-    pd = detection_probability(tau, params.sampling_freq, params.hvwn_snr, g, pfa)
-    counts = np.array([
-        min_samples_count(a[k], pfa[k], params.target_pd)
-        if a[k] >= 1.0 + _ALPHA_POLE_GUARD else -1
-        for k in range(K)
-    ])
-    return SensingOutcome(pd_k=np.atleast_1d(pd), alpha_k=np.atleast_1d(a),
-                          min_samples_k=counts)
 
 
 def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,

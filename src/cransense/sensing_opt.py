@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, interference_map, sinr_absent)
-from .sensing import alpha
+                    RadioParams, SensingParams, rate_table)
+from .sensing import detection_threshold
 
 _W_TOL = 1e-15
 
@@ -29,6 +28,16 @@ class SensingSolveResult:
     tau: np.ndarray        # (R, K), seconds
     objective: float       # total approximated throughput at the solution
     kkt_residual: float
+
+
+def lambda_box(sensing: SensingParams) -> tuple[float, float]:
+    """Bounds (floor, lmax) of lambda = sqrt(tau * nu).
+
+    lmax = sqrt(T * nu) is tau = T; the floor 1e-9 * lmax stands in for the
+    open bound tau > 0.
+    """
+    lmax = np.sqrt(sensing.frame_len * sensing.sampling_freq)
+    return 1e-9 * lmax, lmax
 
 
 def _solve_one_subcarrier(weights, gains, b, floor, lmax):
@@ -89,25 +98,18 @@ def solve_sensing(alloc: Allocation, channel: ChannelState, dims: NetworkDims,
     """Optimal sensing times for fixed associations and powers."""
     R, K, S = dims.num_rrhs, dims.num_subcarriers, dims.num_slices
     T, nu = sensing.frame_len, sensing.sampling_freq
-    lmax = np.sqrt(T * nu)
-    floor = 1e-9 * lmax
-    pfa = sensing.pfa_per_subcarrier(K)
+    floor, lmax = lambda_box(sensing)
     gains = channel.sensing_gain_sq  # (R, K)
 
-    # Fixed per-cell rate coefficients e[r,k,n] (time fraction excluded).
-    inter = interference_map(alloc.power, channel.downlink_gain)
-    g0 = sinr_absent(alloc.power, channel.downlink_gain, inter, radio.noise_power)
-    e = alloc.uav * sensing.idle_prob * (1.0 - pfa)[None, :, None] * np.log2(1.0 + g0)
+    # Fixed per-cell rate coefficients e[r,k,n]: at tau = 0 the time
+    # fraction (T - tau)/T is exactly 1.
+    e = alloc.uav * rate_table(np.zeros((R, K)), alloc.power, channel, sensing, radio)
     w = e.sum(axis=2)  # (R, K)
     slice_w = np.zeros((S, R, K))
     for s in range(S):
         slice_w[s] = e[:, :, dims.user_slice == s].sum(axis=2)
 
-    # Detection thresholds b_k from C1-hat.
-    a_k = alpha(sensing.hvwn_snr, gains)
-    qinv_pd = q_inv(sensing.target_pd)
-    b = np.array([(q_inv(pfa[k]) - a_k[k] * qinv_pd) / sensing.hvwn_snr
-                  for k in range(K)])
+    b = detection_threshold(sensing, gains)
 
     rsv = radio.reserved_rate_per_slice(S)
 

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from cransense.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, ConfigError,
-                           load_config, main)
+from cransense.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
+                           EXIT_TRUNCATED, ConfigError, load_config, main)
 
 SMALL = {
     "dims": {"num_rrhs": 2, "num_bbus": 2, "num_subcarriers": 4,
@@ -90,6 +90,20 @@ def test_infeasible_run_exits_2_without_manifest(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
     assert not (out / "manifest.json").exists()
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_truncated_search_exits_4_without_manifest(tmp_path, capsys):
+    # A cold association search cut off at its first node finds no feasible
+    # point; aborting must report the truncation, not infeasibility.
+    doc = dict(SMALL)
+    doc["solver"] = {"warm_start": False, "assoc_node_limit": 1,
+                     "fallback_on_infeasible_step": "abort"}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    code = main(["solve", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_TRUNCATED
+    assert not (out / "manifest.json").exists()
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_sweep_tau_rerun_is_byte_identical(tmp_path, capsys):

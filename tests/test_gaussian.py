@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cransense.gaussian import Tolerance, q_func, q_inv
+from cransense.gaussian import q_func, q_inv
 
 # Frozen from a 50-digit complementary-error-function evaluation (mpmath)
 # plus bisection on the same tail integral for the inverse.
@@ -54,12 +54,14 @@ def test_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             q_inv(bad)
+        with pytest.raises(ValueError, match=repr(bad)):
+            q_inv(np.array([0.3, bad, 0.7]))
 
 
-def test_tolerance_invariants():
-    t = Tolerance(abs_tol=1e-3, rel_tol=1e-3, max_iters=10)
-    assert t.max_iters == 10
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_iters=0)
+def test_qinv_array_matches_scalar_calls(rng):
+    p = np.concatenate([rng.uniform(0.0, 1.0, size=2000),
+                        np.geomspace(1e-300, 0.5, 200)]).reshape(2, -1)
+    out = q_inv(p)
+    assert out.shape == p.shape
+    assert np.array_equal(out, np.vectorize(lambda v: q_inv(float(v)))(p))
+    assert isinstance(q_inv(np.float64(0.1)), float)

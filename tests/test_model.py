@@ -4,11 +4,11 @@ import pytest
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense.model import (Allocation, ChannelState, NetworkDims,
-                             approx_rate_cells, approx_throughput,
-                             check_constraints, exact_rate_cells,
-                             exact_throughput, interference_at,
-                             interference_map, sinr_absent, sinr_present,
-                             slice_rates, total_approx_throughput)
+                             approx_rate_cells, check_constraints,
+                             exact_rate_cells, interference_map, rate_table,
+                             sinr_absent, sinr_present, slice_rates,
+                             total_approx_throughput)
+from cransense.power_opt import _Slots, dc_split
 
 
 def reference_interference(power, gain):
@@ -93,33 +93,72 @@ def test_interference_single_rrh_is_zero(rng):
     assert np.allclose(interference_map(power, gain), 0.0)
 
 
-def test_interference_at_matches_map(rng):
-    dims = make_dims(R=3, K=2, Ns=2)
-    channel = random_channel(dims, rng, gain_scale=1.0)
-    alloc = random_alloc(dims, rng)
-    full = interference_map(alloc.power, channel.downlink_gain)
-    assert interference_at(1, 2, 0, alloc, channel) == pytest.approx(full[2, 0, 1])
-
-
 def test_throughput_cellwise_matches_scalar(rng):
+    # Each cell's throughput from scalars: its interference summed over the
+    # other RRHs' other users, then the paper's rate expression.
     dims = make_dims()
     sensing = make_sensing()
     radio = make_radio()
     channel = random_channel(dims, rng)
     alloc = random_alloc(dims, rng)
+    alloc.power = rng.uniform(0, 0.25, size=alloc.power.shape)  # every cell on
+    T, p0, p1 = sensing.frame_len, sensing.idle_prob, sensing.hvwn_active_prob
     pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)
     pd = np.full(dims.num_subcarriers, 0.93)
+    p, g = alloc.power, channel.downlink_gain
     cells_a = approx_rate_cells(alloc, channel, sensing, radio)
     cells_e = exact_rate_cells(alloc, channel, sensing, radio, pd)
-    for r in range(dims.num_rrhs):
-        for k in range(dims.num_subcarriers):
-            for n in range(dims.num_users):
-                got = approx_throughput(r, k, n, alloc, channel, sensing,
-                                        radio, pfa[k])
-                assert got == pytest.approx(cells_a[r, k, n], abs=1e-15)
-                got = exact_throughput(r, k, n, alloc, channel, sensing,
-                                       radio, pfa[k], pd[k])
-                assert got == pytest.approx(cells_e[r, k, n], abs=1e-15)
+    R, K, N = p.shape
+    for r in range(R):
+        for k in range(K):
+            for n in range(N):
+                inter = sum(p[rp, k, m] * g[rp, k, n]
+                            for rp in range(R) for m in range(N)
+                            if rp != r and m != n)
+                sig = p[r, k, n] * g[r, k, n]
+                frac = alloc.uav[r, k, n] * (T - alloc.sensing_time[r, k]) / T
+                idle = p0 * (1 - pfa[k]) * np.log2(1 + sig / (radio.noise_power + inter))
+                busy = p1 * (1 - pd[k]) * np.log2(
+                    1 + sig / (radio.noise_power + inter + radio.hvwn_interference))
+                assert cells_a[r, k, n] == pytest.approx(frac * idle, rel=1e-12, abs=1e-15)
+                assert cells_e[r, k, n] == pytest.approx(frac * (idle + busy),
+                                                         rel=1e-12, abs=1e-15)
+
+
+def test_rate_kernel_keeps_the_bits(rng):
+    # Reference formulas in the multiplication order each caller depends
+    # on; on 0/1 beta the shared kernel must match them bit for bit, so a
+    # reordering that moves the last bits fails here.
+    sensing = make_sensing(pfa=0.15, p1=0.3)
+    radio = make_radio()
+    for _ in range(10):
+        dims = make_dims(R=int(rng.integers(1, 4)), K=int(rng.integers(1, 5)),
+                         Ns=int(rng.integers(1, 4)))
+        channel = random_channel(dims, rng)
+        alloc = random_alloc(dims, rng)
+        beta, tau = alloc.uav, alloc.sensing_time
+        pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)[None, :, None]
+        for power in (alloc.power, rng.uniform(0, 0.2, size=alloc.power.shape)):
+            alloc.power = power
+            inter = interference_map(power, channel.downlink_gain)
+            log_term = np.log2(1.0 + sinr_absent(power, channel.downlink_gain,
+                                                 inter, radio.noise_power))
+            frac = ((sensing.frame_len - tau) / sensing.frame_len)[:, :, None]
+            coeff = beta * frac * sensing.idle_prob * (1.0 - pfa)
+            table = rate_table(tau, power, channel, sensing, radio)
+            assert np.array_equal(
+                table, frac * sensing.idle_prob * (1.0 - pfa) * log_term)
+            assert np.array_equal(approx_rate_cells(alloc, channel, sensing, radio),
+                                  coeff * log_term)
+            # Step 1's coefficients e: the rate at tau = 0, time fraction 1.
+            e = beta * rate_table(np.zeros_like(tau), power, channel, sensing, radio)
+            assert np.array_equal(e, beta * sensing.idle_prob * (1.0 - pfa) * log_term)
+            # Step 3's per-cell and per-slot coefficients.
+            u, _ = dc_split(power, beta, tau, channel, sensing, radio)
+            base = radio.noise_power + inter
+            assert np.array_equal(u, coeff * np.log2(base + power * channel.downlink_gain))
+        slots = _Slots(beta, tau, channel, dims, sensing, radio)
+        assert np.array_equal(slots.c, coeff.sum(axis=2))
 
 
 def test_exact_vs_approx_relation(rng):

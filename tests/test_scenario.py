@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dims, make_radio, make_sensing
+from cransense.alternating import default_initialization, solve_joint
+from cransense.cli import build_alt_config, build_spec, load_config
 from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
                                 evaluate_fixed_tau_throughput,
                                 generate_instance, optimal_sensing_time,
@@ -156,6 +158,26 @@ def test_users_sweep_serves_the_added_users():
                       trials_per_point=3, base=small_spec(seed=1))
     rows = run_sweep(sweep)
     assert rows[1]["mean_throughput"] > 1.01 * rows[0]["mean_throughput"]
+
+
+def test_infeasible_start_is_not_a_converged_sample():
+    # Two RRHs, 4 sub-carriers, 2 users per slice of the default config: the
+    # fresh init misses a slice floor by 0.72, so every block falls back and
+    # the objective never moves.
+    cfg = load_config(None)
+    cfg["dims"].update(num_rrhs=2, num_subcarriers=4, users_per_slice=2)
+    cfg["solver"].update(max_outer_iters=30, power_zeta=1e-3, power_max_iters=200)
+    spec, alt = build_spec(cfg), build_alt_config(cfg)
+    channel, positions = generate_instance(spec)
+    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
+                                  user_positions=positions,
+                                  rrh_coords=spec.rrh_coords)
+    _, report = solve_joint(init, channel, spec.dims, spec.sensing, spec.radio, alt)
+    assert report.constraint_residuals["C10"] > 0.7
+    assert report.residual_trajectory[-1] == max(report.constraint_residuals.values())
+    assert not report.converged
+    rows = run_sweep(SweepSpec("num_users", (2,), 1, spec), alt)
+    assert rows[0]["infeasible_trials"] == 1
 
 
 def test_pfa_sweep_row_schema():

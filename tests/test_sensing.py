@@ -3,9 +3,10 @@ import pytest
 
 from conftest import make_sensing
 from cransense.model import UnattainableTargetError
+from cransense.gaussian import q_inv
 from cransense.sensing import (alpha, detection_probability,
-                               interruption_probability, min_samples,
-                               min_samples_count, sensing_outcome)
+                               detection_threshold, interruption_probability,
+                               min_samples, min_samples_count)
 
 # Frozen 50-digit evaluations of the closed-form expressions.
 ALPHA_ORACLE = 1.0965335244536649721        # gamma = 10^-1.5, sum |h|^2 = 3.2
@@ -108,13 +109,19 @@ def test_min_samples_grows_with_tighter_targets():
     assert min_samples(a, 0.2, 0.95) > min_samples(a, 0.2, 0.9)
 
 
-def test_sensing_outcome_bundle():
-    params = make_sensing()
-    g = np.array([[1.0, 0.0], [1.2, 0.0], [1.0, 0.0]])
-    out = sensing_outcome(np.full((3, 2), 0.01), params, g)
-    assert out.pd_k.shape == (2,) and out.alpha_k.shape == (2,)
-    assert out.alpha_k[0] == pytest.approx(ALPHA_ORACLE, abs=1e-12)
-    assert out.min_samples_k[1] == -1  # zero-gain sub-carrier: unattainable
+def test_detection_threshold_per_subcarrier():
+    params = make_sensing(pfa=np.array([0.1, 0.2, 0.3]))
+    g = np.array([[1.0, 0.4, 0.3], [1.2, 2.0, 0.0], [1.0, 0.1, 0.0]])
+    b = detection_threshold(params, g)
+    expected = [(q_inv(float(params.target_pfa[k]))
+                 - alpha(params.hvwn_snr, g[:, k]) * q_inv(params.target_pd))
+                / params.hvwn_snr for k in range(3)]
+    assert np.array_equal(b, expected)
+    # At lambda = b / sum(g) on every RRH the target holds with equality.
+    tau = np.broadcast_to((b / g.sum(axis=0)) ** 2 / params.sampling_freq, g.shape)
+    pd = detection_probability(tau, params.sampling_freq, params.hvwn_snr,
+                               g, params.target_pfa)
+    assert np.allclose(pd, params.target_pd, atol=1e-12)
 
 
 def test_interruption_deterministic_and_bounded():
