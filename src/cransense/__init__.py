@@ -10,14 +10,13 @@ capacity and per-slice rate constraints.
 __version__ = "0.1.0"
 
 from .alternating import AltConfig, default_initialization, solve_joint
-from .assoc_opt import AssocSolveResult, linearize_c7, solve_association
+from .assoc_opt import AssocSolveResult, solve_association
 from .gaussian import q_func, q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     RadioParams, SearchTruncatedError, SensingParams,
                     SolveReport, UnattainableTargetError, check_constraints,
                     sinr_absent, sinr_present, total_approx_throughput)
-from .power_opt import (PowerIterate, PowerSolveResult, dc_split, solve_power,
-                        surrogate_throughput, v_gradient)
+from .power_opt import PowerIterate, PowerSolveResult, solve_power
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        optimal_sensing_time, run_interruption_sweep, run_sweep)
 from .sensing import (alpha, detection_probability, interruption_probability,

@@ -1,9 +1,10 @@
 """Outer alternation: sensing time, associations, powers, until convergence.
 
-Each outer iteration runs the three block solves in order; with warm_start
-on, step 1 and step 2 can never decrease the objective (the previous block
-values stay feasible / seed the incumbent) and step 3 ascends monotonically
-from its warm start, so the trajectory is non-decreasing.
+Each outer iteration runs the three block solves in order. Step 1 keeps the
+previous sensing times feasible and step 3 ascends monotonically from the
+current powers; with warm_start on, the current association also seeds
+step 2's incumbent, so no step can decrease the objective and the
+trajectory is non-decreasing.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
         # Step 3: powers.
         t0 = time.perf_counter()
         try:
-            p_init = alloc.power if config.warm_start else np.zeros_like(alloc.power)
-            s3 = power_opt.solve_power(alloc.uav, alloc.sensing_time, p_init,
+            s3 = power_opt.solve_power(alloc.uav, alloc.sensing_time, alloc.power,
                                        channel, dims, sensing, radio,
                                        zeta=config.power_zeta,
                                        max_iters=config.power_max_iters)

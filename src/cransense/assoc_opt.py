@@ -2,9 +2,12 @@
 
 Given tau and p, the per-cell rates are constants, so the problem is: pick
 at most one user per (r, k) slot (C5), keep every user on a single RRH
-(C4/C6), respect BBU and fronthaul capacities through a transportation
-feasibility check (C3/C7/C8 via the y linearization), and meet the slice
-minimum rates (C10). The search branches slot by slot in descending
+(C4/C6), respect BBU and fronthaul capacities (C3/C7/C8), and meet the
+slice minimum rates (C10). Per-RRH user counts are servable by the BBU pool
+exactly when Gale's cut condition holds for every BBU subset (max-flow/
+min-cut on the RRH->BBU transportation graph), so the capacity test is one
+vectorized comparison against a table built once per search, with 2^B rows
+(B <= 16). The search branches slot by slot in descending
 best-rate order with an admissible per-slot bound, so the first leaf is the
 greedy solution and the certified optimum follows. The bound table (best
 allowed rate per slice and slot) depends only on the user->RRH map, so it is
@@ -37,57 +40,28 @@ class AssocSolveResult:
     proven_optimal: bool
 
 
-def linearize_c7(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linearization variable y[b, r, n] = f[n, b] * x[n, r].
+_MAX_BBUS = 16  # the cut table has 2^B rows
 
-    For binary f, x this is exactly the point forced by the constraint set
-    y <= f, y <= x, y >= f + x - 1 together with 0/1 bounds.
+
+def _cut_table(bbu_cap, fronthaul_cap):
+    """Gale's cut table over every BBU subset Y (bit b of the row index).
+
+    Returns (inside, outside): inside (2^B,) is the processing cap of the
+    BBUs in Y, outside (2^B, R) each RRH's fronthaul into the BBUs not in Y.
     """
-    return np.einsum("nb,nr->brn", np.asarray(f, dtype=int), np.asarray(x, dtype=int))
+    B = fronthaul_cap.shape[1]
+    member = (np.arange(2 ** B)[:, None] >> np.arange(B)) & 1
+    return member @ bbu_cap, (1 - member) @ fronthaul_cap.T
 
 
-def _max_flow(supply, edge_cap, sink_cap):
-    """Max flow of the RRH->BBU transportation graph; returns (value, flow).
+def _servable(counts, cuts):
+    """Can the BBU pool serve these per-RRH user counts (C3/C7/C8)?
 
-    supply is the per-RRH user count, edge_cap the (R, B) fronthaul caps,
-    sink_cap the per-BBU processing cap. Edmonds-Karp on the tiny graph.
+    By max-flow/min-cut (Gale 1957) exactly when, for every BBU subset Y,
+    counts.sum() <= cap(Y) + sum_r min(counts[r], fronthaul(r, B minus Y)).
     """
-    R, B = edge_cap.shape
-    n = R + B + 2
-    src, snk = n - 2, n - 1
-    cap = np.zeros((n, n))
-    for r in range(R):
-        cap[src, r] = supply[r]
-        cap[r, R:R + B] = edge_cap[r]
-    for b in range(B):
-        cap[R + b, snk] = sink_cap
-    flow_val = 0.0
-    while True:
-        parent = np.full(n, -1)
-        parent[src] = src
-        queue = [src]
-        while queue:
-            u = queue.pop(0)
-            if u == snk:
-                break
-            for v in range(n):
-                if parent[v] < 0 and cap[u, v] > 1e-9:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[snk] < 0:
-            break
-        # Bottleneck along the path, then push.
-        path, v = [], snk
-        while v != src:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[u, v] for u, v in path)
-        for u, v in path:
-            cap[u, v] -= push
-            cap[v, u] += push
-        flow_val += push
-    flow = np.array([[cap[R + b, r] for b in range(B)] for r in range(R)])
-    return flow_val, flow
+    inside, outside = cuts
+    return bool((counts.sum() <= inside + np.minimum(counts, outside).sum(axis=1)).all())
 
 
 class _Search:
@@ -95,7 +69,6 @@ class _Search:
         self.rates = rates                      # (num_slots, N)
         self.slot_r = slot_r
         self.slot_k = slot_k
-        self.dims = dims
         self.floor = rsv - 1e-9                 # C10 with the search's tolerance
         self.node_limit = node_limit
         N = dims.num_users
@@ -104,9 +77,8 @@ class _Search:
         in_slice = self.user_slice == np.arange(dims.num_slices)[:, None]
         self.slice_rates = np.where(in_slice[:, None, :], rates, 0.0)
         self.rrh_ids = np.arange(dims.num_rrhs)[:, None]
-        self.row_cap = dims.fronthaul_cap.sum(axis=1)
-        self.total_cap = min(dims.num_bbus * dims.bbu_user_cap,
-                             int(dims.fronthaul_cap.sum()))
+        self.cuts = _cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
+                               dims.fronthaul_cap)
         self.assigned = np.full(N, -1)
         self.counts = np.zeros(dims.num_rrhs, dtype=int)
         self.slice_acc = np.zeros(dims.num_slices)
@@ -117,7 +89,7 @@ class _Search:
         self.best_obj = -np.inf
         self.best = None
         self.prune_causes = {"bound": 0, "C10": 0, "capacity": 0}
-        self.flow_cache = {}
+        self.cut_cache = {}
         # Per-slot candidate users by descending rate, zero-rate users
         # skipped: the descending order puts each slot's positive rates first.
         order = np.argsort(-rates, axis=1, kind="stable").tolist()
@@ -126,14 +98,9 @@ class _Search:
 
     def feasible_counts(self, counts):
         key = tuple(counts.tolist())
-        hit = self.flow_cache.get(key)
+        hit = self.cut_cache.get(key)
         if hit is None:
-            if np.any(counts > self.row_cap) or counts.sum() > self.total_cap:
-                hit = False
-            else:
-                val, _ = _max_flow(counts, self.dims.fronthaul_cap, self.dims.bbu_user_cap)
-                hit = val >= counts.sum() - 1e-9
-            self.flow_cache[key] = hit
+            hit = self.cut_cache[key] = _servable(counts, self.cuts)
         return hit
 
     def bound_table(self):
@@ -205,19 +172,28 @@ class _Search:
 
 
 def _deterministic_bbu_assignment(assigned, dims):
-    """f consistent with C3/C7/C8 for the committed user->RRH map."""
-    N = dims.num_users
-    counts = np.bincount(assigned[assigned >= 0], minlength=dims.num_rrhs)
-    _, flow = _max_flow(counts, dims.fronthaul_cap, dims.bbu_user_cap)
-    f = np.zeros((N, dims.num_bbus), dtype=int)
-    remaining = flow.copy()  # (R, B) user counts to place
-    for n in range(N):
+    """f consistent with C3/C7/C8 for a servable user->RRH map.
+
+    Each served user, in index order, takes the lowest-index BBU whose unit
+    of capacity leaves the users after it servable, which keeps the whole
+    map servable at every step.
+    """
+    bbu_left = np.full(dims.num_bbus, dims.bbu_user_cap)
+    link_left = dims.fronthaul_cap.copy()
+    left = np.bincount(assigned[assigned >= 0], minlength=dims.num_rrhs)
+    f = np.zeros((dims.num_users, dims.num_bbus), dtype=int)
+    for n in np.flatnonzero(assigned >= 0):
         r = assigned[n]
-        if r < 0:
-            continue
-        b = int(np.argmax(remaining[r] > 1e-9))
-        f[n, b] = 1
-        remaining[r, b] -= 1
+        left[r] -= 1
+        for b in range(dims.num_bbus):
+            bbu_left[b] -= 1
+            link_left[r, b] -= 1
+            if min(bbu_left[b], link_left[r, b]) >= 0 and \
+                    _servable(left, _cut_table(bbu_left, link_left)):
+                f[n, b] = 1
+                break
+            bbu_left[b] += 1
+            link_left[r, b] += 1
     return f
 
 
@@ -229,8 +205,12 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
 
     warm_start seeds the incumbent (checked for feasibility at the current
     tau/p first), which both speeds the search and guarantees the result is
-    never worse than the provided allocation.
+    never worse than the provided allocation. ValueError when num_bbus
+    exceeds 16: the capacity test enumerates every BBU subset.
     """
+    if dims.num_bbus > _MAX_BBUS:
+        raise ValueError(f"num_bbus={dims.num_bbus} exceeds {_MAX_BBUS}: the "
+                         "capacity test enumerates all 2^num_bbus BBU subsets")
     R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
     rates_rkn = rate_table(tau, power, channel, sensing, radio)
     rsv = radio.reserved_rate_per_slice(dims.num_slices)
@@ -279,7 +259,8 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
     served = x.sum(axis=1) > 0
     assigned_eff = np.where(served, assigned, -1)
     f = _deterministic_bbu_assignment(assigned_eff, dims)
-    y = linearize_c7(f, x)
+    y = Allocation(sensing_time=tau, power=power, uav=beta, rrh_assoc=x,
+                   bbu_assoc=f).derived_linkage()
     return AssocSolveResult(bbu_assoc=f, rrh_assoc=x, uav=beta, linkage=y,
                             objective=float(search.best_obj),
                             nodes_explored=search.nodes,

@@ -7,9 +7,7 @@ is a global minorant whose slope prices the RRH's power (Huang, Berry &
 Honig, IEEE JSAC 2006), and the priced block problem is water-filling under
 the RRH budget. Slice weights raised on short slices enforce C10. A block
 update is kept only if the true objective does not fall and no slice floor
-breaks, so iterates are feasible and monotone. dc_split, v_gradient and
-surrogate_throughput, the D.C. form on (R, K, N) tensors, are kept as
-reference formulas.
+breaks, so iterates are feasible and monotone.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (LN2, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, idle_coeff, interference_map)
+                    RadioParams, SensingParams, idle_coeff)
 
 # Share of the budget filled when it binds: keeps sum(p) <= pmax under any
 # summation order of the scattered (R, K, N) tensor.
@@ -50,50 +48,6 @@ class PowerSolveResult:
     @property
     def objective_trajectory(self) -> list:
         return [it.true_objective for it in self.iterates]
-
-
-def dc_split(power, beta, tau, channel: ChannelState, sensing: SensingParams,
-             radio: RadioParams):
-    """Concave pair (u, v) with u - v equal to the approximated throughput."""
-    c = beta * idle_coeff(tau, sensing)[:, :, None]
-    inter = interference_map(power, channel.downlink_gain)
-    base = radio.noise_power + inter
-    u = c * np.log2(base + power * channel.downlink_gain)
-    v = c * np.log2(base)
-    return u, v
-
-
-def v_gradient(power, beta, tau, channel: ChannelState, sensing: SensingParams,
-               radio: RadioParams) -> np.ndarray:
-    """Gradient of the summed subtrahend v with respect to every power.
-
-    A cell's own power never appears in its v, so only cross-interference
-    terms contribute: d v[r,k,n] / d p[r',k,n'] = c * h[r',k,n] /
-    (ln2 * (I[r,k,n] + sigma0^2)) for r' != r, n' != n.
-    """
-    c = beta * idle_coeff(tau, sensing)[:, :, None]
-    gain = channel.downlink_gain
-    a = c / (LN2 * (radio.noise_power + interference_map(power, gain)))
-    # G[r',k,n'] = sum over r != r', n != n' of a[r,k,n] * gain[r',k,n].
-    b1 = gain * (a.sum(axis=0)[None, :, :] - a)
-    return b1.sum(axis=2)[:, :, None] - b1
-
-
-def surrogate_throughput(power, power_prev, beta, tau, channel: ChannelState,
-                         sensing: SensingParams, radio: RadioParams) -> np.ndarray:
-    """Per-cell concave minorant u(p) - v(p_prev) - grad_v(p_prev).(p - p_prev).
-
-    Because the interference is linear in p, the linear correction for cell
-    (r,k,n) collapses to A_prev * (I(p) - I(p_prev)).
-    """
-    c = beta * idle_coeff(tau, sensing)[:, :, None]
-    gain = channel.downlink_gain
-    inter = interference_map(power, gain)
-    inter_prev = interference_map(power_prev, gain)
-    u = c * np.log2(radio.noise_power + inter + power * gain)
-    v_prev = c * np.log2(radio.noise_power + inter_prev)
-    a_prev = c / (LN2 * (radio.noise_power + inter_prev))
-    return u - v_prev - a_prev * (inter - inter_prev)
 
 
 def project_power_budget(power: np.ndarray, max_power: np.ndarray) -> np.ndarray:

@@ -250,14 +250,17 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         channel, _ = generate_instance(base, seed=seed)
         return evaluate_fixed_tau_throughput(value, channel, base.dims,
                                              base.sensing, base.radio)
-    if param == "target_pd":
-        sensing = dataclasses.replace(base.sensing, target_pd=value)
-        channel, _ = generate_instance(base, seed=seed)
-        return optimal_sensing_time(channel, base.dims, sensing, base.radio)
-    if param == "target_pfa":
-        sensing = dataclasses.replace(base.sensing, target_pfa=value)
-        channel, _ = generate_instance(base, seed=seed)
-        return optimal_sensing_time(channel, base.dims, sensing, base.radio)
+    if param in ("target_pd", "target_pfa", "num_rrhs"):
+        if param == "num_rrhs":
+            spec = _with_dims(base, num_rrhs=int(value),
+                              fronthaul_cap=np.broadcast_to(
+                                  base.dims.fronthaul_cap.flat[0],
+                                  (int(value), base.dims.num_bbus)).copy())
+        else:
+            spec = dataclasses.replace(
+                base, sensing=dataclasses.replace(base.sensing, **{param: value}))
+        channel, _ = generate_instance(spec, seed=seed)
+        return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
     if param == "num_users":
         spec = _with_dims(base, users_per_slice=int(value))
         channel, positions = generate_instance(spec, seed=seed)
@@ -295,13 +298,6 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         if carry is not None:
             carry[trial] = (spec.dims.users_per_slice, answers[best])
         return values[best]
-    if param == "num_rrhs":
-        spec = _with_dims(base, num_rrhs=int(value),
-                          fronthaul_cap=np.broadcast_to(
-                              base.dims.fronthaul_cap.flat[0],
-                              (int(value), base.dims.num_bbus)).copy())
-        channel, _ = generate_instance(spec, seed=seed)
-        return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 

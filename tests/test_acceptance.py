@@ -21,11 +21,12 @@ from cransense.gaussian import q_func, q_inv
 from cransense.model import (ChannelState, InfeasibleError,
                              UnattainableTargetError, approx_rate_cells,
                              slice_rates, total_approx_throughput)
-from cransense.power_opt import dc_split, solve_power, surrogate_throughput, v_gradient
+from cransense.power_opt import _Slots, solve_power
 from cransense.scenario import SweepSpec, generate_instance, run_sweep
 from cransense.sensing import detection_probability, interruption_probability, min_samples
 from cransense.sensing_opt import solve_sensing
 from test_assoc_opt import brute_force_association
+from test_power_opt import block_surrogate, weighted_objective
 
 
 def full_scale_spec():
@@ -243,39 +244,39 @@ def test_criterion_10_sca_soundness():
                                                   radio), dims)
             assert np.all(rates >= -1e-6)  # rsv = 0 floors
 
-        # (c) gradient of the subtrahend against central differences,
-        # compared at the scale of the gradient itself.
-        power = rng.uniform(0.5, 1.5, size=(2, 2, 4))
-        grad = v_gradient(power, alloc.uav, alloc.sensing_time, channel,
-                          sensing, radio)
+        # (c) gradient of the slice-weighted slot objective against central
+        # differences, compared at the scale of the gradient itself.
+        slots = _Slots(alloc.uav, alloc.sensing_time, channel, dims, sensing, radio)
+        w = rng.uniform(1.0, 4.0, size=dims.num_slices)
+        power = rng.uniform(0.5, 1.5, size=(2, 2))
+        grad, _ = slots.gradient(power, slots.evaluate(power)[0], w[slots.slice])
         h = 1e-6
         fd = np.empty_like(grad)
-        for idx in range(fd.size):
-            hi, lo = power.copy().ravel(), power.copy().ravel()
+        for idx in np.ndindex(power.shape):
+            hi, lo = power.copy(), power.copy()
             hi[idx] += h
             lo[idx] -= h
-            _, vh = dc_split(hi.reshape(power.shape), alloc.uav,
-                             alloc.sensing_time, channel, sensing, radio)
-            _, vl = dc_split(lo.reshape(power.shape), alloc.uav,
-                             alloc.sensing_time, channel, sensing, radio)
-            fd.ravel()[idx] = (float(vh.sum()) - float(vl.sum())) / (2 * h)
+            fd[idx] = (weighted_objective(slots, w, hi)
+                       - weighted_objective(slots, w, lo)) / (2 * h)
         denom = max(float(np.abs(fd).max()), 1e-12)
         fd_worst = max(fd_worst, float(np.abs(grad - fd).max()) / denom)
 
-        # (d) the surrogate is a global minorant.
+        # (d) the priced block surrogate is tight at the anchor and a global
+        # minorant over random block points.
         anchor = rng.uniform(0.0, 2.0, size=power.shape)
-        samples = rng.uniform(0.0, 2.0, size=(1000,) + power.shape)
-        for p in samples:
-            surr = surrogate_throughput(p, anchor, alloc.uav,
-                                        alloc.sensing_time, channel, sensing,
-                                        radio)
-            u, v = dc_split(p, alloc.uav, alloc.sensing_time, channel,
-                            sensing, radio)
-            assert float(surr.sum()) <= float((u - v).sum()) + 1e-9
+        surrogate = block_surrogate(slots, w, anchor)
+        at_anchor = weighted_objective(slots, w, anchor)
+        for r in range(2):
+            assert surrogate(r, anchor) == pytest.approx(at_anchor, rel=1e-12)
+        for r, row in zip(rng.integers(0, 2, size=1000),
+                          rng.uniform(0.0, 2.0, size=(1000, 2))):
+            p = anchor.copy()
+            p[r] = row
+            assert surrogate(r, p) <= weighted_objective(slots, w, p) + 1e-9
     assert fd_worst <= 1e-6
     print(f"\nACCEPTANCE 10 PASS: 100 instances with monotone feasible "
-          f"iterates, gradient error {fd_worst:.1e}, surrogate minorant at "
-          f"10^3 points each")
+          f"iterates, pricing gradient error {fd_worst:.1e}, block surrogate "
+          f"minorant at 10^3 points each")
 
 
 def test_criterion_11_joint_convergence_full_scale():

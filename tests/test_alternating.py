@@ -163,3 +163,22 @@ def test_full_scale_regression():
     assert all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
     assert max(report.constraint_residuals.values()) <= 1e-6
     assert traj[-1] == pytest.approx(FULL_SCALE_OBJECTIVE, rel=1e-9)
+
+
+def test_cold_start_still_runs_step_3():
+    # warm_start=False only drops step 2's incumbent: step 3 still starts
+    # from the current powers, since 0 W misses every positive slice floor.
+    cfg = load_config(None)
+    cfg["dims"].update(num_subcarriers=4, users_per_slice=1)
+    spec = build_spec(cfg)
+    assert spec.radio.reserved_rate > 0
+    channel, positions = generate_instance(spec)
+    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
+                                  user_positions=positions,
+                                  rrh_coords=spec.rrh_coords)
+    obj0 = total_approx_throughput(init, channel, spec.sensing, spec.radio)
+    _, report = solve_joint(init, channel, spec.dims, spec.sensing, spec.radio,
+                            AltConfig(warm_start=False))
+    assert all(step != "step3" for _, step, _ in report.step_fallbacks)
+    assert report.converged
+    assert report.objective_trajectory[-1] > obj0

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense import assoc_opt
-from cransense.assoc_opt import (_max_flow, linearize_c7, rate_table,
-                                 solve_association)
-from cransense.model import (Allocation, InfeasibleError, SearchTruncatedError,
-                             approx_rate_cells, check_constraints)
+from cransense.assoc_opt import rate_table, solve_association
+from cransense.model import (Allocation, InfeasibleError, NetworkDims,
+                             SearchTruncatedError, approx_rate_cells,
+                             check_constraints)
 
 
 def bbu_feasible_brute(assigned, dims):
@@ -65,28 +67,80 @@ def tiny_dims(omax=2, cmax=1):
     return make_dims(S=2, R=2, B=2, K=2, Ns=2, omax=omax, cmax=cmax)
 
 
-def test_max_flow_simple_cases():
-    val, flow = _max_flow(np.array([2, 1]), np.full((2, 2), 2), 2)
-    assert val == 3
-    assert np.all(flow.sum(axis=0) <= 2)
-    assert np.allclose(flow.sum(axis=1), [2, 1])
-    # Fronthaul bottleneck: each RRH-BBU link carries at most one user.
-    val, _ = _max_flow(np.array([3, 0]), np.full((2, 2), 1), 5)
-    assert val == 2
-    # BBU bottleneck.
-    val, _ = _max_flow(np.array([2, 2]), np.full((2, 2), 5), 1)
-    assert val == 2
+def max_flow_servable(counts, fronthaul_cap, bbu_user_cap):
+    """Independent oracle: scipy's max flow on source -> RRHs -> BBUs -> sink."""
+    R, B = fronthaul_cap.shape
+    src, snk = R + B, R + B + 1
+    cap = np.zeros((R + B + 2, R + B + 2), dtype=np.int32)
+    cap[src, :R] = counts
+    cap[:R, R:R + B] = fronthaul_cap
+    cap[R:R + B, snk] = bbu_user_cap
+    flow = maximum_flow(csr_matrix(cap), src, snk)
+    return flow.flow_value == counts.sum()
 
 
-def test_linearize_c7_is_the_binary_product(rng):
-    for _ in range(10):
-        f = rng.integers(0, 2, size=(5, 3))
-        x = rng.integers(0, 2, size=(5, 4))
-        y = linearize_c7(f, x)
-        for b in range(3):
-            for r in range(4):
-                for n in range(5):
-                    assert y[b, r, n] == f[n, b] * x[n, r]
+def cap_matrices(R, B, rng):
+    """Uniform fronthaul caps 0-2 plus three random 0-2 matrices."""
+    yield from (np.full((R, B), c) for c in range(3))
+    for _ in range(3):
+        yield rng.integers(0, 3, size=(R, B))
+
+
+def test_cut_condition_matches_max_flow(rng):
+    checked = servable = 0
+    for R, B in product(range(1, 4), repeat=2):
+        for fronthaul in cap_matrices(R, B, rng):
+            for omax in range(4):
+                cuts = assoc_opt._cut_table(np.full(B, omax), fronthaul)
+                for counts in product(range(4), repeat=R):
+                    counts = np.array(counts)
+                    want = max_flow_servable(counts, fronthaul, omax)
+                    assert assoc_opt._servable(counts, cuts) == want, \
+                        (fronthaul, omax, counts)
+                    checked += 1
+                    servable += want
+    assert 0 < servable < checked
+
+
+def test_bbu_assignment_meets_capacities(rng):
+    sensing = make_sensing()
+    radio = make_radio()
+    for R, B in product(range(1, 4), repeat=2):
+        for fronthaul in cap_matrices(R, B, rng):
+            for omax in range(4):
+                dims = NetworkDims(num_slices=3, num_rrhs=R, num_bbus=B,
+                                   num_subcarriers=1, users_per_slice=4,
+                                   bbu_user_cap=omax, fronthaul_cap=fronthaul)
+                N = dims.num_users
+                channel = random_channel(dims, rng)
+                cuts = assoc_opt._cut_table(np.full(B, omax), fronthaul)
+                for counts in product(range(4), repeat=R):
+                    counts = np.array(counts)
+                    # The cut test equals max flow (checked above).
+                    if not assoc_opt._servable(counts, cuts):
+                        continue
+                    # Served users in a shuffled order among unserved ones.
+                    assigned = np.full(N, -1)
+                    users = rng.permutation(N)[:counts.sum()]
+                    assigned[users] = np.repeat(np.arange(R), counts)
+                    f = assoc_opt._deterministic_bbu_assignment(assigned, dims)
+                    x = np.zeros((N, R), dtype=int)
+                    x[users, assigned[users]] = 1
+                    alloc = Allocation(sensing_time=np.full((R, 1), 0.1),
+                                       power=np.zeros((R, 1, N)),
+                                       uav=np.zeros((R, 1, N)),
+                                       rrh_assoc=x, bbu_assoc=f)
+                    res = check_constraints(alloc, dims, radio, sensing, channel)
+                    assert res["C3"] == res["C7"] == res["C8"] == 0.0, \
+                        (fronthaul, omax, counts)
+
+
+def test_more_than_16_bbus_is_rejected(rng):
+    dims = make_dims(R=1, B=17, K=1, Ns=1)
+    channel = random_channel(dims, rng)
+    with pytest.raises(ValueError, match="num_bbus"):
+        solve_association(np.full((1, 1), 0.02), np.zeros((1, 1, 2)), channel,
+                          dims, make_sensing(), make_radio())
 
 
 def test_rate_table_matches_throughput_evaluator(rng):

@@ -8,7 +8,7 @@ from cransense.model import (Allocation, ChannelState, NetworkDims,
                              exact_rate_cells, interference_map, rate_table,
                              sinr_absent, sinr_present, slice_rates,
                              total_approx_throughput)
-from cransense.power_opt import _Slots, dc_split
+from cransense.power_opt import _Slots
 
 
 def reference_interference(power, gain):
@@ -153,10 +153,7 @@ def test_rate_kernel_keeps_the_bits(rng):
             # Step 1's coefficients e: the rate at tau = 0, time fraction 1.
             e = beta * rate_table(np.zeros_like(tau), power, channel, sensing, radio)
             assert np.array_equal(e, beta * sensing.idle_prob * (1.0 - pfa) * log_term)
-            # Step 3's per-cell and per-slot coefficients.
-            u, _ = dc_split(power, beta, tau, channel, sensing, radio)
-            base = radio.noise_power + inter
-            assert np.array_equal(u, coeff * np.log2(base + power * channel.downlink_gain))
+        # Step 3's per-slot coefficients.
         slots = _Slots(beta, tau, channel, dims, sensing, radio)
         assert np.array_equal(slots.c, coeff.sum(axis=2))
 
@@ -214,6 +211,16 @@ def test_linkage_derivation():
     # User 0 on RRH 0 via BBU 1; user 1 on RRH 1 via BBU 0.
     assert y[1, 0, 0] == 1 and y[0, 1, 1] == 1
     assert y.sum() == 2
+    # On binary f, x the product is the point the C7 linearization forces.
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        f = rng.integers(0, 2, size=(5, 3))
+        x = rng.integers(0, 2, size=(5, 4))
+        alloc = Allocation(sensing_time=np.zeros((4, 1)), power=np.zeros((4, 1, 5)),
+                           uav=np.zeros((4, 1, 5)), rrh_assoc=x, bbu_assoc=f)
+        y = alloc.derived_linkage()
+        fb, xr = f.T[:, None, :], x.T[None, :, :]  # both broadcast to (B, R, N)
+        assert np.all(y <= fb) and np.all(y <= xr) and np.all(y >= fb + xr - 1)
 
 
 def test_check_constraints_clean_allocation(rng):

@@ -7,8 +7,7 @@ from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense.model import (Allocation, ChannelState, InfeasibleError,
                              approx_rate_cells, slice_rates)
-from cransense.power_opt import (dc_split, project_power_budget, solve_power,
-                                 surrogate_throughput, v_gradient)
+from cransense.power_opt import _Slots, project_power_budget, solve_power
 
 
 def np_dims(R=2, K=2, Ns=2):
@@ -23,69 +22,66 @@ def o1_channel(dims, rng):
     return ChannelState(downlink_gain=g, sensing_gain_sq=s)
 
 
-def test_dc_split_reconstructs_throughput(rng):
-    dims = np_dims()
-    sensing = make_sensing()
-    radio = make_radio()
-    channel = random_channel(dims, rng)
+def slots_instance(rng, R=2, K=2):
+    """Order-one slot instance, slice weights and a positive power point."""
+    dims = np_dims(R=R, K=K)
+    channel = o1_channel(dims, rng)
     alloc = random_alloc(dims, rng)
-    u, v = dc_split(alloc.power, alloc.uav, alloc.sensing_time, channel,
-                    sensing, radio)
-    assert np.allclose(u - v, approx_rate_cells(alloc, channel, sensing, radio),
-                       rtol=1e-12, atol=1e-15)
+    slots = _Slots(alloc.uav, alloc.sensing_time, channel, dims, make_sensing(),
+                   make_radio(noise=1.0))
+    w = rng.uniform(1.0, 4.0, size=dims.num_slices)
+    return slots, w, rng.uniform(0.5, 1.5, size=(R, K))
+
+
+def weighted_objective(slots, w, p):
+    """sum_s w_s * per_slice_s at p, the objective the sweeps price."""
+    return float(w @ slots.evaluate(p)[2])
 
 
 def test_v_gradient_matches_central_differences(rng):
-    dims = np_dims(R=2, K=2, Ns=2)
-    sensing = make_sensing()
-    radio = make_radio(noise=1.0)
-    channel = o1_channel(dims, rng)
-    alloc = random_alloc(dims, rng)
-    power = rng.uniform(0.5, 1.5, size=alloc.power.shape)
-
-    def v_sum(p):
-        _, v = dc_split(p, alloc.uav, alloc.sensing_time, channel, sensing,
-                        radio)
-        return float(v.sum())
-
-    grad = v_gradient(power, alloc.uav, alloc.sensing_time, channel, sensing,
-                      radio)
+    slots, w, power = slots_instance(rng)
+    inter = slots.evaluate(power)[0]
+    grad, _ = slots.gradient(power, inter, w[slots.slice])
     h = 1e-6
-    for r in range(dims.num_rrhs):
-        for k in range(dims.num_subcarriers):
-            for n in range(dims.num_users):
-                hi = power.copy()
-                lo = power.copy()
-                hi[r, k, n] += h
-                lo[r, k, n] -= h
-                fd = (v_sum(hi) - v_sum(lo)) / (2 * h)
-                assert grad[r, k, n] == pytest.approx(
-                    fd, rel=1e-6, abs=1e-9), (r, k, n)
+    for idx in np.ndindex(power.shape):
+        hi, lo = power.copy(), power.copy()
+        hi[idx] += h
+        lo[idx] -= h
+        fd = (weighted_objective(slots, w, hi) - weighted_objective(slots, w, lo)) / (2 * h)
+        assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9), idx
+
+
+def block_surrogate(slots, w, anchor):
+    """Priced surrogate of block r at the anchor, as a function of (r, p):
+    RRH r's own weighted rates at p, the other cells' at the anchor, minus
+    the interference price of r's power change."""
+    inter, _, per_slice = slots.evaluate(anchor)
+    weight = w[slots.slice]
+    _, price = slots.gradient(anchor, inter, weight)
+
+    def own(r, q):
+        return float((weight[r] * slots.c[r]
+                      * np.log2(1.0 + q[r] * slots.h[r] / (slots.noise + inter[r]))).sum())
+
+    def value(r, p):
+        return (own(r, p) + float(w @ per_slice) - own(r, anchor)
+                - float(price[r] @ (p[r] - anchor[r])))
+    return value
 
 
 def test_surrogate_tight_at_anchor_and_minorant(rng):
-    dims = np_dims()
-    sensing = make_sensing()
-    radio = make_radio(noise=1.0)
-    channel = o1_channel(dims, rng)
-    alloc = random_alloc(dims, rng)
-    anchor = rng.uniform(0.0, 1.0, size=alloc.power.shape)
-
-    def true_cells(p):
-        u, v = dc_split(p, alloc.uav, alloc.sensing_time, channel, sensing,
-                        radio)
-        return u - v
-
-    at_anchor = surrogate_throughput(anchor, anchor, alloc.uav,
-                                     alloc.sensing_time, channel, sensing, radio)
-    assert np.allclose(at_anchor, true_cells(anchor), rtol=1e-12, atol=1e-12)
-
+    slots, w, anchor = slots_instance(rng)
+    surrogate = block_surrogate(slots, w, anchor)
+    for r in range(anchor.shape[0]):
+        assert surrogate(r, anchor) == pytest.approx(
+            weighted_objective(slots, w, anchor), rel=1e-12)
     for _ in range(1000):
-        p = rng.uniform(0.0, 2.0, size=anchor.shape)
-        surr = surrogate_throughput(p, anchor, alloc.uav, alloc.sensing_time,
-                                    channel, sensing, radio)
-        # Concavity of v makes the linearized surrogate a per-cell minorant.
-        assert np.all(surr <= true_cells(p) + 1e-9)
+        r = int(rng.integers(anchor.shape[0]))
+        p = anchor.copy()
+        p[r] = rng.uniform(0.0, 2.0, size=anchor.shape[1])
+        # The other cells' rates are convex in r's power: their tangent is a
+        # minorant, so the priced block surrogate lies below the objective.
+        assert surrogate(r, p) <= weighted_objective(slots, w, p) + 1e-9
 
 
 def test_projection_properties(rng):
