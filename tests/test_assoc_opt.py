@@ -143,6 +143,23 @@ def test_more_than_16_bbus_is_rejected(rng):
                           dims, make_sensing(), make_radio())
 
 
+def test_linearize_c7_is_the_binary_product(rng):
+    # solve_association takes y from Allocation.derived_linkage; on binary
+    # f, x it must be the product, the point the C7 linearization forces.
+    for _ in range(10):
+        f = rng.integers(0, 2, size=(5, 3))
+        x = rng.integers(0, 2, size=(5, 4))
+        alloc = Allocation(sensing_time=np.zeros((4, 1)), power=np.zeros((4, 1, 5)),
+                           uav=np.zeros((4, 1, 5)), rrh_assoc=x, bbu_assoc=f)
+        y = alloc.derived_linkage()
+        for b in range(3):
+            for r in range(4):
+                for n in range(5):
+                    assert y[b, r, n] == f[n, b] * x[n, r]
+                    assert y[b, r, n] <= f[n, b] and y[b, r, n] <= x[n, r]
+                    assert y[b, r, n] >= f[n, b] + x[n, r] - 1
+
+
 def test_rate_table_matches_throughput_evaluator(rng):
     dims = make_dims()
     sensing = make_sensing()

@@ -211,16 +211,6 @@ def test_linkage_derivation():
     # User 0 on RRH 0 via BBU 1; user 1 on RRH 1 via BBU 0.
     assert y[1, 0, 0] == 1 and y[0, 1, 1] == 1
     assert y.sum() == 2
-    # On binary f, x the product is the point the C7 linearization forces.
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        f = rng.integers(0, 2, size=(5, 3))
-        x = rng.integers(0, 2, size=(5, 4))
-        alloc = Allocation(sensing_time=np.zeros((4, 1)), power=np.zeros((4, 1, 5)),
-                           uav=np.zeros((4, 1, 5)), rrh_assoc=x, bbu_assoc=f)
-        y = alloc.derived_linkage()
-        fb, xr = f.T[:, None, :], x.T[None, :, :]  # both broadcast to (B, R, N)
-        assert np.all(y <= fb) and np.all(y <= xr) and np.all(y >= fb + xr - 1)
 
 
 def test_check_constraints_clean_allocation(rng):
