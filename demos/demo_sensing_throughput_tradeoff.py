@@ -3,9 +3,9 @@
 Sensing longer improves detection (fewer interrupted sub-carriers) but
 shrinks the (T - tau)/T fraction of the frame left for transmission, so the
 average throughput over channel draws peaks at an interior tau*. The demo
-sweeps a fixed uniform tau over a log grid, then refines the best point by
-golden-section search, for two false-alarm targets: a laxer false-alarm
-budget lowers the detection threshold and moves tau* down.
+sweeps a fixed uniform tau over a log grid, then finds tau* exactly among
+the per-sub-carrier detection thresholds, for three false-alarm targets: a
+laxer false-alarm budget lowers the detection threshold and moves tau* down.
 
 Run:  python3 demos/demo_sensing_throughput_tradeoff.py
 """

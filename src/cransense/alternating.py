@@ -19,7 +19,9 @@ from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams,
                     SearchTruncatedError, SensingParams, SolveReport,
                     check_constraints, total_approx_throughput)
-from .sensing import detection_threshold
+from .sensing import detection_probability, detection_threshold
+
+_MAX_TAU_STEPS = 32  # float steps that lift a rounded threshold onto target_pd
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,28 @@ class AltConfig:
 
 
 def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.ndarray:
-    """Smallest uniform-per-k tau meeting the detection constraint, clamped to T."""
-    R, K = channel.sensing_gain_sq.shape
+    """Smallest uniform-per-k tau meeting the detection constraint, clamped to T.
+
+    Where the closed form (b_k / sum_r g_rk)^2 / nu rounds an ulp short of
+    target_pd, the entry steps up float by float until detection_probability
+    accepts it. Unattainable entries (no sensing gain, or clamped at T) keep
+    the closed form.
+    """
+    g = channel.sensing_gain_sq
     floor, lmax = sensing_opt.lambda_box(sensing)
-    b = detection_threshold(sensing, channel.sensing_gain_sq)
-    tau = np.empty((R, K))
-    for k in range(K):
-        gsum = channel.sensing_gain_sq[:, k].sum()
-        lam = floor if (b[k] <= 0 or gsum <= 0) else np.clip(b[k] / gsum, floor, lmax)
-        tau[:, k] = lam ** 2 / sensing.sampling_freq
+    b = detection_threshold(sensing, g)
+    gsum = g.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where((b <= 0) | (gsum <= 0), floor, np.clip(b / gsum, floor, lmax))
+    tau = np.tile(lam ** 2 / sensing.sampling_freq, (g.shape[0], 1))
+    attainable = (gsum > 0) & (lam < lmax)
+    pfa = sensing.pfa_per_subcarrier(g.shape[1])
+    for _ in range(_MAX_TAU_STEPS):
+        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g, pfa)
+        short = attainable & (pd < sensing.target_pd) & (tau[0] < sensing.frame_len)
+        if not short.any():
+            break
+        tau[:, short] = np.nextafter(tau[:, short], np.inf)
     return tau
 
 

@@ -144,42 +144,27 @@ def evaluate_fixed_tau_throughput(tau: float, channel: ChannelState,
 
 
 def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
-                         sensing: SensingParams, radio: RadioParams,
-                         tol: float = 5e-4, coarse_points: int = 40) -> float:
-    """Best uniform tau in (0, T]: coarse grid scan, then golden-section refine.
+                         sensing: SensingParams, radio: RadioParams) -> float:
+    """Best uniform tau in (0, T]: the best per-sub-carrier detection threshold.
 
-    The coarse grid is log-spaced: with several cooperating RRHs the
-    detection threshold (and hence the throughput peak) sits orders of
-    magnitude below the frame length.
+    The fixed-tau throughput is (T - tau)/T times the rate of the sub-carriers
+    whose detection target holds, so it falls between the thresholds and
+    jumps up at each; ties go to the smallest tau. Raises InfeasibleError
+    (C1) when no sub-carrier can meet its detection target within the frame.
     """
-    T = sensing.frame_len
     base = default_initialization(channel, dims, sensing, radio)
-
-    def value(tau):
-        return evaluate_fixed_tau_throughput(tau, channel, dims, sensing, radio, base)
-
-    grid = np.geomspace(T * 1e-4, T, coarse_points)
-    vals = [value(t) for t in grid]
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    candidates = [(vals[i], grid[i]), (fc, c), (fd, d)]
-    return float(max(candidates)[1])
+    tau = base.sensing_time  # minimal_feasible_tau: the thresholds
+    pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)
+    met = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
+                                channel.sensing_gain_sq, pfa) >= sensing.target_pd
+    if not met.any():
+        raise InfeasibleError(
+            "no sub-carrier can meet the detection target within the frame",
+            detail={"constraint": "C1", "subcarriers": list(range(met.size))})
+    candidates = np.unique(tau[0, met])
+    values = [evaluate_fixed_tau_throughput(t, channel, dims, sensing, radio, base)
+              for t in candidates]
+    return float(candidates[int(np.argmax(values))])
 
 
 def _with_dims(spec: ScenarioSpec, **dim_updates) -> ScenarioSpec:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, rate_table)
+from .model import (FEASIBILITY_TOL, Allocation, ChannelState, InfeasibleError,
+                    NetworkDims, RadioParams, SensingParams, rate_table)
 from .sensing import detection_threshold
 
 _W_TOL = 1e-15
+_MAX_DUAL_ITERS = 80  # dual-ascent steps on the slice multipliers
 
 
 @dataclass
@@ -92,9 +93,7 @@ def _solve_one_subcarrier(weights, gains, b, floor, lmax):
 
 
 def solve_sensing(alloc: Allocation, channel: ChannelState, dims: NetworkDims,
-                  sensing: SensingParams, radio: RadioParams,
-                  max_dual_iters: int = 80,
-                  c10_tol: float = 1e-6) -> SensingSolveResult:
+                  sensing: SensingParams, radio: RadioParams) -> SensingSolveResult:
     """Optimal sensing times for fixed associations and powers."""
     R, K, S = dims.num_rrhs, dims.num_subcarriers, dims.num_slices
     T, nu = sensing.frame_len, sensing.sampling_freq
@@ -136,18 +135,18 @@ def solve_sensing(alloc: Allocation, channel: ChannelState, dims: NetworkDims,
 
     lam = inner(w)
     objective, per_slice = rates_of(lam)
-    best = (lam, objective) if np.all(per_slice >= rsv - c10_tol) else None
+    best = (lam, objective) if np.all(per_slice >= rsv - FEASIBILITY_TOL) else None
 
     if best is None:
         mu = np.zeros(S)
         scale = np.maximum(rsv, 1.0)
-        for it in range(max_dual_iters):
+        for it in range(_MAX_DUAL_ITERS):
             step = 2.0 / np.sqrt(it + 1.0)
             mu = np.clip(mu + step * (rsv - per_slice) / scale, 0.0, None)
             weights = w + np.tensordot(mu, slice_w, axes=(0, 0))
             lam = inner(weights)
             objective, per_slice = rates_of(lam)
-            if np.all(per_slice >= rsv - c10_tol):
+            if np.all(per_slice >= rsv - FEASIBILITY_TOL):
                 if best is None or objective > best[1]:
                     best = (lam.copy(), objective)
         if best is None:

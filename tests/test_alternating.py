@@ -8,7 +8,7 @@ from cransense.cli import build_spec, load_config
 from cransense.model import (ChannelState, check_constraints,
                              total_approx_throughput)
 from cransense.scenario import generate_instance
-from cransense.sensing import detection_probability
+from cransense.sensing import detection_probability, detection_threshold
 
 # Full-size reference run (4 RRHs, 3 BBUs, 2 slices of 8 users, 16
 # sub-carriers, seed 0), frozen from a converged solve of this library.
@@ -41,6 +41,31 @@ def test_minimal_feasible_tau_meets_target(rng):
                                sensing.pfa_per_subcarrier(dims.num_subcarriers))
     assert np.all(pd >= sensing.target_pd - 1e-9)
     assert np.all(tau > 0) and np.all(tau <= sensing.frame_len)
+
+
+@pytest.mark.parametrize("target_pd", [0.5, 0.9, 0.99])
+def test_minimal_feasible_tau_meets_target_exactly(target_pd):
+    # The closed form can round a tau an ulp short of target_pd; the
+    # returned tau must meet C1 with no tolerance at all.
+    dims = make_dims(R=3, K=8)
+    sensing = make_sensing(pd=target_pd)
+    pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        channel = stable_channel(dims, rng)
+        tau = minimal_feasible_tau(channel, sensing)
+        assert np.all(tau < sensing.frame_len)  # every entry is attainable
+        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
+                                   channel.sensing_gain_sq, pfa)
+        assert np.all(pd >= target_pd)
+        # ... and is still the closed form (b_k / sum_r g_rk)^2 / nu up to a
+        # few ulps, the same on every RRH.
+        g = channel.sensing_gain_sq
+        b = detection_threshold(sensing, g)
+        closed = np.array([(b[k] / g[:, k].sum()) ** 2 / sensing.sampling_freq
+                           for k in range(dims.num_subcarriers)])
+        assert np.all(tau == tau[0])
+        assert np.all(np.abs(tau[0] / closed - 1.0) <= 1e-14)
 
 
 def test_default_initialization_is_feasible(rng):

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_dims, make_radio, make_sensing
 from cransense.alternating import default_initialization, solve_joint
 from cransense.cli import build_alt_config, build_spec, load_config
+from cransense.model import ChannelState, InfeasibleError
 from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
                                 evaluate_fixed_tau_throughput,
                                 generate_instance, optimal_sensing_time,
@@ -109,6 +110,51 @@ def test_optimal_sensing_time_beats_probes():
         val = evaluate_fixed_tau_throughput(float(probe), channel, spec.dims,
                                             spec.sensing, spec.radio)
         assert best >= val - 1e-9
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_optimal_sensing_time_matches_dense_grid(case):
+    # Small instances across detection targets, false-alarm targets and RRH
+    # counts: the returned tau must do at least as well as the best of
+    # 2,000 log-spaced probes over [T * 1e-6, T].
+    pd = (0.5, 0.8, 0.9, 0.99)[case % 4]
+    pfa = (0.05, 0.1, 0.2, 0.3, 0.4)[case % 5]
+    R = 1 + case % 3
+    dims = make_dims(R=R, B=2, K=4, Ns=2, omax=4, cmax=4)
+    spec = ScenarioSpec(dims=dims, sensing=make_sensing(pd=pd, pfa=pfa),
+                        radio=make_radio(), seed=100 + case)
+    channel, _ = generate_instance(spec)
+    T = spec.sensing.frame_len
+    star = optimal_sensing_time(channel, dims, spec.sensing, spec.radio)
+    assert 0 < star <= T
+    base = default_initialization(channel, dims, spec.sensing, spec.radio)
+
+    def value(tau):
+        return evaluate_fixed_tau_throughput(tau, channel, dims, spec.sensing,
+                                             spec.radio, base)
+
+    best = value(star)
+    probes = max(value(float(t)) for t in np.geomspace(T * 1e-6, T, 2000))
+    assert best > 0.0
+    assert best >= probes - 1e-12 * abs(probes)
+
+
+def test_optimal_sensing_time_raises_when_detection_is_unattainable():
+    spec = small_spec(seed=4)
+    channel, _ = generate_instance(spec)
+    K = spec.dims.num_subcarriers
+    deaf = ChannelState(downlink_gain=channel.downlink_gain,
+                        sensing_gain_sq=np.zeros_like(channel.sensing_gain_sq))
+    short_frame = dataclasses.replace(spec.sensing, frame_len=1e-5)
+    for chan, sensing in ((deaf, spec.sensing), (channel, short_frame)):
+        with pytest.raises(InfeasibleError) as err:
+            optimal_sensing_time(chan, spec.dims, sensing, spec.radio)
+        assert err.value.detail == {"constraint": "C1",
+                                    "subcarriers": list(range(K))}
+    # A sweep counts such a trial as infeasible instead of averaging it.
+    rows = run_sweep(SweepSpec("target_pd", (0.9,), 2,
+                               dataclasses.replace(spec, sensing=short_frame)))
+    assert rows[0]["infeasible_trials"] == 2
 
 
 def test_sweep_spec_validation():
