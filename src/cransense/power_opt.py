@@ -8,6 +8,13 @@ Honig, IEEE JSAC 2006), and the priced block problem is water-filling under
 the RRH budget. Slice weights raised on short slices enforce C10. A block
 update is kept only if the true objective does not fall and no slice floor
 breaks, so iterates are feasible and monotone.
+
+Deviation from plain pricing sweeps: the tangent price undervalues silencing
+a weak interferer, so its power creeps to zero over hundreds of sweeps. Each
+sweep therefore ends with a line search along its own step d (Xu & Yin, SIAM
+J. Imaging Sci. 2013): p + w*d for w = 1, 2, 4, ..., each projected onto the
+RRH budgets, is kept while the true objective rises and no slice floor
+breaks, the block-update rule.
 """
 
 from __future__ import annotations
@@ -24,14 +31,16 @@ from .model import (LN2, ChannelState, InfeasibleError, NetworkDims,
 _BUDGET_FILL = 1.0 - 1e-12
 _MAX_WEIGHT = 1e12  # cap on the slice weights 1 + mu
 _MAX_STALLS = 30  # sweeps in a row that move power by at most zeta yet raise weights
+_MAX_STRETCH = 1e6  # line-search steps w = 1, 2, 4, ... stay below this (20 trials)
 
 
 @dataclass
 class PowerIterate:
-    power: np.ndarray  # (R, K, N) after one Gauss-Seidel sweep
+    power: np.ndarray  # (R, K, N) after one Gauss-Seidel sweep and its line search
     true_objective: float
     # Frank-Wolfe gap of the slice-weighted objective over the feasible slot
-    # powers, divided by 1 + |true_objective|; zero exactly at a KKT point.
+    # powers, divided by 1 + |true_objective| and by the largest slice weight
+    # 1 + max(mu); zero exactly at a KKT point.
     inner_kkt_residual: float
 
 
@@ -62,6 +71,13 @@ def project_power_budget(power: np.ndarray, max_power: np.ndarray) -> np.ndarray
     theta = css[np.arange(rho.size), rho - 1] / rho
     flat[over] = np.clip(flat[over] - theta[:, None], 0.0, None)
     return out
+
+
+def _fill_budget(p, cap):
+    """Scale each row of p whose sum passes cap * _BUDGET_FILL back onto it."""
+    total = p.sum(axis=-1, keepdims=True)
+    over = total > cap * _BUDGET_FILL
+    return np.where(over, p * (cap * _BUDGET_FILL / np.where(over, total, 1.0)), p)
 
 
 class _Slots:
@@ -125,9 +141,12 @@ class _Slots:
             lam += excess / float((amp / (price + lam) ** 2)[q > 0].sum())
         out = np.zeros_like(p[r])
         out[on] = fill(lam)
-        if out.sum() > cap * _BUDGET_FILL:
-            out *= cap * _BUDGET_FILL / out.sum()
-        return out
+        return _fill_budget(out, cap)
+
+    def feasible(self, p):
+        """p projected onto the RRH budgets, with 0 W on the cells not on."""
+        q = np.where(self.on, project_power_budget(p, self.pmax), 0.0)
+        return _fill_budget(q, self.pmax[:, None])
 
     def kkt_gap(self, p, inter, weight):
         """Frank-Wolfe gap, max over feasible q of grad.(q - p), summed over RRHs."""
@@ -139,7 +158,8 @@ class _Slots:
 def solve_power(beta, tau, p_init, channel: ChannelState, dims: NetworkDims,
                 sensing: SensingParams, radio: RadioParams,
                 zeta: float = 1e-3, max_iters: int = 200) -> PowerSolveResult:
-    """Gauss-Seidel interference-pricing sweeps until the power change is small.
+    """Gauss-Seidel interference-pricing sweeps, each stretched by a line
+    search, until the power change is small.
 
     beta must put at most one user in a slot (C5) and each user on one RRH
     (C4/C6), else ValueError. Only the assigned cells of p_init are read,
@@ -163,6 +183,8 @@ def solve_power(beta, tau, p_init, channel: ChannelState, dims: NetworkDims,
     for _ in range(max_iters):
         p_prev, raised = p, False
         for r in range(dims.num_rrhs):
+            if not (slots.on[r].any() or p[r].any()):
+                continue  # its block would return p[r] = 0 unchanged
             cand = p.copy()
             cand[r] = slots.block(r, p, inter, 1.0 + mu[slots.slice])
             c_inter, c_obj, c_slice = slots.evaluate(cand)
@@ -174,8 +196,18 @@ def solve_power(beta, tau, p_init, channel: ChannelState, dims: NetworkDims,
             raised |= bool(short.any())
             if not short.any() and c_obj >= obj:
                 p, inter, obj, per_slice = cand, c_inter, c_obj, c_slice
+        # Stretch the sweep's step while the block-update rule still holds.
+        base, step, omega = p, p - p_prev, 1.0
+        while omega < _MAX_STRETCH and step.any():
+            trial = slots.feasible(base + omega * step)
+            t_inter, t_obj, t_slice = slots.evaluate(trial)
+            if not (t_obj > obj and np.all(t_slice >= np.minimum(slots.rsv, per_slice))):
+                break
+            p, inter, obj, per_slice = trial, t_inter, t_obj, t_slice
+            omega *= 2.0
         gap = slots.kkt_gap(p, inter, 1.0 + mu[slots.slice])
-        iterates.append(PowerIterate(slots.scatter(p), obj, gap / (1.0 + abs(obj))))
+        scale = (1.0 + abs(obj)) * (1.0 + mu.max())
+        iterates.append(PowerIterate(slots.scatter(p), obj, gap / scale))
         quiet = np.linalg.norm(p - p_prev) <= zeta * (1.0 + np.linalg.norm(p_prev))
         if quiet and not raised:
             return PowerSolveResult(slots.scatter(p), iterates, converged=True)

@@ -7,12 +7,13 @@ from cransense.alternating import (AltConfig, default_initialization,
 from cransense.cli import build_spec, load_config
 from cransense.model import (ChannelState, check_constraints,
                              total_approx_throughput)
+from cransense.power_opt import solve_power
 from cransense.scenario import generate_instance
 from cransense.sensing import detection_probability, detection_threshold
 
 # Full-size reference run (4 RRHs, 3 BBUs, 2 slices of 8 users, 16
 # sub-carriers, seed 0), frozen from a converged solve of this library.
-FULL_SCALE_OBJECTIVE = 346.83601326325095
+FULL_SCALE_OBJECTIVE = 468.91097589644056
 
 
 def stable_channel(dims, rng):
@@ -188,6 +189,25 @@ def test_full_scale_regression():
     assert all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
     assert max(report.constraint_residuals.values()) <= 1e-6
     assert traj[-1] == pytest.approx(FULL_SCALE_OBJECTIVE, rel=1e-9)
+
+
+def test_full_scale_step_3_converges_well_inside_the_cap():
+    # Step 3 from the default start of the full-size instance (seed 0) with
+    # the default solver settings: plain pricing sweeps hit the 500-sweep
+    # cap here, unconverged; each sweep's line search ends the creep.
+    spec = build_spec(load_config(None))
+    channel, positions = generate_instance(spec)
+    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
+                                  user_positions=positions,
+                                  rrh_coords=spec.rrh_coords)
+    cfg = AltConfig()
+    res = solve_power(init.uav, init.sensing_time, init.power, channel,
+                      spec.dims, spec.sensing, spec.radio,
+                      zeta=cfg.power_zeta, max_iters=cfg.power_max_iters)
+    assert res.converged
+    assert len(res.iterates) <= cfg.power_max_iters // 4
+    traj = res.objective_trajectory
+    assert all(b >= a for a, b in zip(traj, traj[1:]))
 
 
 def test_cold_start_still_runs_step_3():

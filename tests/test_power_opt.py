@@ -349,3 +349,27 @@ def test_solve_stops_when_weights_cannot_unblock_the_floors():
     assert not res.converged
     assert len(res.iterates) < 200
     assert np.array_equal(res.power, p0)
+    # The weights climb towards _MAX_WEIGHT at a fixed power; the residual,
+    # divided by the largest weight, must not climb with them.
+    assert max(it.inner_kkt_residual for it in res.iterates) <= 1.0
+
+
+def test_second_slot_interference_converges_in_few_sweeps():
+    # RRH 0 serves user 0 on both sub-carriers; its power on sub-carrier 1
+    # also lands on RRH 1's user. The tangent price undervalues cutting that
+    # power, so plain sweeps creep (382 sweeps at zeta = 1e-5, ending at
+    # 6.557928649183738); the line search along each sweep's step does not.
+    dims = make_dims(S=2, R=2, B=2, K=2, Ns=1)
+    gain = np.zeros((2, 2, 2))
+    gain[0, 0, 0], gain[0, 1, 0] = 10.0, 100.0
+    gain[1, 1, 1] = gain[0, 1, 1] = 100.0
+    channel = ChannelState(downlink_gain=gain, sensing_gain_sq=np.ones((2, 2)))
+    beta = np.zeros((2, 2, 2), dtype=int)
+    beta[0, 0, 0] = beta[0, 1, 0] = beta[1, 1, 1] = 1
+    res = solve_power(beta, np.full((2, 2), 0.02), 0.5 * beta, channel, dims,
+                      make_sensing(), make_radio(noise=1.0), zeta=1e-5,
+                      max_iters=500)
+    assert res.converged
+    assert len(res.iterates) <= 20
+    assert res.true_objective >= 6.557928649183738
+    assert res.iterates[-1].inner_kkt_residual <= 1e-6
