@@ -62,9 +62,9 @@ def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.nd
         lam = np.where((b <= 0) | (gsum <= 0), floor, np.clip(b / gsum, floor, lmax))
     tau = np.tile(lam ** 2 / sensing.sampling_freq, (g.shape[0], 1))
     attainable = (gsum > 0) & (lam < lmax)
-    pfa = sensing.pfa_per_subcarrier(g.shape[1])
     for _ in range(_MAX_TAU_STEPS):
-        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g, pfa)
+        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g,
+                                   sensing.target_pfa)
         short = attainable & (pd < sensing.target_pd) & (tau[0] < sensing.frame_len)
         if not short.any():
             break

@@ -332,11 +332,10 @@ def check_constraints(alloc: Allocation, dims: NetworkDims, radio: RadioParams,
     res = {}
     tau = alloc.sensing_time
     T = sensing.frame_len
-    pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)
 
     pd = sensing_mod.detection_probability(
         np.clip(tau, 1e-300, None), sensing.sampling_freq, sensing.hvwn_snr,
-        channel.sensing_gain_sq, pfa)
+        channel.sensing_gain_sq, sensing.target_pfa)
     res["C1"] = float(np.max(np.clip(sensing.target_pd - pd, 0.0, None)))
 
     # Strict 0 < tau: a non-positive entry counts as at least a 1e-12 violation.

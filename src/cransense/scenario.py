@@ -130,11 +130,9 @@ def evaluate_fixed_tau_throughput(tau: float, channel: ChannelState,
     """
     if base_alloc is None:
         base_alloc = default_initialization(channel, dims, sensing, radio)
-    K = dims.num_subcarriers
-    pfa = sensing.pfa_per_subcarrier(K)
-    tau_grid = np.full((dims.num_rrhs, K), tau)
+    tau_grid = np.full((dims.num_rrhs, dims.num_subcarriers), tau)
     pd = detection_probability(tau_grid, sensing.sampling_freq, sensing.hvwn_snr,
-                               channel.sensing_gain_sq, pfa)
+                               channel.sensing_gain_sq, sensing.target_pfa)
     feasible_k = np.atleast_1d(pd) >= sensing.target_pd
     alloc = base_alloc.copy()
     alloc.sensing_time = tau_grid
@@ -154,9 +152,9 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
     """
     base = default_initialization(channel, dims, sensing, radio)
     tau = base.sensing_time  # minimal_feasible_tau: the thresholds
-    pfa = sensing.pfa_per_subcarrier(dims.num_subcarriers)
-    met = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
-                                channel.sensing_gain_sq, pfa) >= sensing.target_pd
+    pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
+                               channel.sensing_gain_sq, sensing.target_pfa)
+    met = pd >= sensing.target_pd
     if not met.any():
         raise InfeasibleError(
             "no sub-carrier can meet the detection target within the frame",

@@ -34,8 +34,10 @@ def detection_probability(tau, sampling_freq: float, hvwn_snr: float,
     """Cooperative detection probability for given per-RRH sensing times.
 
     tau and sensing_gain_sq share the RRH-leading shape ((R,) or (R, K));
-    the result is a scalar or per-sub-carrier array. Strictly increasing in
-    each tau entry whose sensing gain is positive.
+    the result is a scalar or per-sub-carrier array. target_pfa is a scalar,
+    which takes q_inv's scalar path and broadcasts, or a per-sub-carrier
+    array. Strictly increasing in each tau entry whose sensing gain is
+    positive.
     """
     tau = np.asarray(tau, dtype=float)
     g = np.asarray(sensing_gain_sq, dtype=float)
@@ -54,9 +56,12 @@ def detection_threshold(params: SensingParams, sensing_gain_sq) -> np.ndarray:
     With lambda = sqrt(tau * nu), the detection target on sub-carrier k
     holds exactly when sum_r lambda[r, k] * |h^HU_rk|^2 >= b_k.
     """
-    g = np.asarray(sensing_gain_sq, dtype=float)
-    pfa = params.pfa_per_subcarrier(g.shape[1])
-    return ((q_inv(pfa) - alpha(params.hvwn_snr, g) * q_inv(params.target_pd))
+    return _threshold(params, params.target_pfa, np.asarray(sensing_gain_sq, dtype=float))
+
+
+def _threshold(params: SensingParams, target_pfa, g: np.ndarray):
+    """detection_threshold at a given target_pfa, over g's trailing axes."""
+    return ((q_inv(target_pfa) - alpha(params.hvwn_snr, g) * q_inv(params.target_pd))
             / params.hvwn_snr)
 
 
@@ -107,7 +112,9 @@ def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
     else:
         gains = np.asarray(gain_sampler(rng, num_trials, num_rrhs), dtype=float)
 
-    tau_arr = np.full((num_rrhs, num_trials), tau)
-    pd = detection_probability(tau_arr, params.sampling_freq, params.hvwn_snr,
-                               gains.T, float(pfa[0]))
-    return float(np.mean(pd < params.target_pd))
+    # Q is strictly decreasing, so pd < target_pd exactly when the trial's
+    # sensing statistic falls below the detection threshold b.
+    g = gains.T
+    b = _threshold(params, float(pfa[0]), g)
+    statistic = math.sqrt(tau * params.sampling_freq) * g.sum(axis=0)
+    return float(np.mean(statistic < b))

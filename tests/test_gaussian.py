@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +13,8 @@ from cransense.gaussian import q_func, q_inv
 # plus bisection on the same tail integral for the inverse.
 Q_AT_QUANTILE = 0.10000000000782730756   # Q(1.2815515655)
 QINV_AT_TENTH = 1.281551565544600467     # Q^-1(0.1)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_symmetry_point():
@@ -65,3 +73,60 @@ def test_qinv_array_matches_scalar_calls(rng):
     assert out.shape == p.shape
     assert np.array_equal(out, np.vectorize(lambda v: q_inv(float(v)))(p))
     assert isinstance(q_inv(np.float64(0.1)), float)
+
+
+# Relative error against 50-digit mpmath on the grids below, measured at
+# 1.8e-13 for q_func (rounding y = x / sqrt(2) moves erfc(y) by up to about
+# 2 * y**2 * 2**-53 relative) and 5.5e-16 for q_inv.
+Q_REL_BOUND = 2e-13
+QINV_REL_BOUND = 1e-15
+
+
+def _rel_errors(values, refs):
+    return [float(abs((mpmath.mpf(v) - r) / r)) for v, r in zip(values, refs)]
+
+
+def test_q_func_accuracy_against_mpmath():
+    xs = np.linspace(-8.0, 37.0, 901)
+    with mpmath.workdps(50):
+        refs = [mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2 for x in xs.tolist()]
+        errs = _rel_errors(q_func(xs).tolist(), refs)
+    assert max(errs) <= Q_REL_BOUND
+
+
+def test_q_inv_accuracy_toward_both_tails():
+    upper_tail = np.geomspace(1e-20, 0.4, 200)       # p -> 0: Q^-1 -> +inf
+    lower_tail = 1.0 - np.geomspace(1e-10, 0.4, 200)  # p -> 1: Q^-1 -> -inf
+    ps = np.concatenate([upper_tail, lower_tail])
+    with mpmath.workdps(50):
+        refs = [mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(p)) for p in ps.tolist()]
+        errs = _rel_errors(q_inv(ps).tolist(), refs)
+    assert max(errs) <= QINV_REL_BOUND
+
+
+@pytest.mark.parametrize("fn, values", [
+    (q_func, np.linspace(-8.0, 37.0, 90)),
+    (q_inv, np.concatenate([np.geomspace(1e-20, 0.5, 40), 1.0 - np.geomspace(1e-10, 0.5, 40)])),
+], ids=["q_func", "q_inv"])
+def test_scalar_path_is_the_array_path(fn, values):
+    grid = values.reshape(-1, 2)
+    out = fn(grid)
+    assert out.shape == grid.shape
+    for v, expected in zip(values.tolist(), out.ravel().tolist()):
+        got = fn(v)
+        assert type(got) is float
+        assert got == expected  # bitwise: no tolerance
+    assert type(fn(np.float64(values[3]))) is float
+    assert type(fn(np.asarray(values[3]))) is float
+
+
+def test_package_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, cransense, cransense.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
