@@ -112,19 +112,24 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
     # slice, so every slice starts with airtime and the slice-rate floors
     # have a fighting chance before the first exact association solve.
     user_slice = dims.user_slice
-    slice_slots = np.zeros(dims.num_slices, dtype=int)
+    slice_slots = [0] * dims.num_slices
     beta = np.zeros((R, K, N), dtype=int)
     for r in range(R):
         users_r = np.flatnonzero(x[:, r])
         if users_r.size == 0:
             continue
-        slices_r = np.unique(user_slice[users_r])
+        # Best-gain user of each slice on every sub-carrier, by slice index;
+        # ties go to the lowest user index.
+        best = {}
+        for s in np.unique(user_slice[users_r]).tolist():
+            cands = users_r[user_slice[users_r] == s]
+            best[s] = cands[channel.downlink_gain[r][:, cands].argmax(axis=1)].tolist()
+        chosen = []
         for k in range(K):
-            s_min = slices_r[int(np.argmin(slice_slots[slices_r]))]
-            cands = users_r[user_slice[users_r] == s_min]
-            n_best = cands[int(np.argmax(channel.downlink_gain[r, k, cands]))]
-            beta[r, k, n_best] = 1
+            s_min = min(best, key=slice_slots.__getitem__)
+            chosen.append(best[s_min][k])
             slice_slots[s_min] += 1
+        beta[r, np.arange(K), chosen] = 1
 
     pmax = radio.max_power_per_rrh(R)
     power = np.zeros((R, K, N))

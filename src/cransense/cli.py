@@ -118,35 +118,52 @@ def load_config(path: str | None, seed_override=None, trials_override=None) -> d
     return merged
 
 
+def _per_item(value, count: int, name: str):
+    """A config number, or a list of one number per sub-carrier, RRH or slice."""
+    if not isinstance(value, list):
+        return float(value)
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (count,):
+        raise ConfigError(f"{name} must be a number or a list of {count} numbers, "
+                          f"got a list of {len(value)} items")
+    return arr
+
+
 def build_spec(cfg: dict) -> ScenarioSpec:
-    d = cfg["dims"]
-    dims = NetworkDims(
-        num_slices=int(d["num_slices"]), num_rrhs=int(d["num_rrhs"]),
-        num_bbus=int(d["num_bbus"]), num_subcarriers=int(d["num_subcarriers"]),
-        users_per_slice=int(d["users_per_slice"]), bbu_user_cap=int(d["bbu_user_cap"]),
-        fronthaul_cap=np.broadcast_to(np.asarray(d["fronthaul_cap"], dtype=int),
-                                      (int(d["num_rrhs"]), int(d["num_bbus"]))).copy())
-    s = cfg["sensing"]
-    sensing = SensingParams(
-        target_pd=float(s["target_pd"]), target_pfa=float(s["target_pfa"]),
-        hvwn_snr=10.0 ** (float(s["hvwn_snr_db"]) / 10.0),
-        sampling_freq=float(s["sampling_freq_hz"]),
-        frame_len=float(s["frame_len_ms"]) * 1e-3,
-        hvwn_active_prob=float(s["hvwn_active_prob"]))
-    r = cfg["radio"]
-    radio = RadioParams(
-        noise_power=float(r["noise_power_w"]),
-        hvwn_interference=float(r["hvwn_interference_w"]),
-        max_power=10.0 ** (float(r["max_power_dbm"]) / 10.0) * 1e-3,
-        reserved_rate=float(r["reserved_rate"]))
-    sc = cfg["scenario"]
-    coords = sc["rrh_coords_km"]
-    return ScenarioSpec(
-        dims=dims, sensing=sensing, radio=radio,
-        area_side=float(sc["area_side_km"]),
-        rrh_coords=None if coords is None else np.asarray(coords, dtype=float),
-        pathloss_exp=float(sc["pathloss_exp"]),
-        fading_mean=float(sc["fading_mean"]), seed=int(sc["seed"]))
+    """The scenario a resolved config describes; a bad value is a ConfigError."""
+    d, s, r, sc = cfg["dims"], cfg["sensing"], cfg["radio"], cfg["scenario"]
+    try:
+        dims = NetworkDims(
+            num_slices=int(d["num_slices"]), num_rrhs=int(d["num_rrhs"]),
+            num_bbus=int(d["num_bbus"]), num_subcarriers=int(d["num_subcarriers"]),
+            users_per_slice=int(d["users_per_slice"]),
+            bbu_user_cap=int(d["bbu_user_cap"]),
+            fronthaul_cap=np.broadcast_to(np.asarray(d["fronthaul_cap"], dtype=int),
+                                          (int(d["num_rrhs"]), int(d["num_bbus"]))).copy())
+        sensing = SensingParams(
+            target_pd=float(s["target_pd"]),
+            target_pfa=_per_item(s["target_pfa"], dims.num_subcarriers,
+                                 "sensing.target_pfa"),
+            hvwn_snr=10.0 ** (float(s["hvwn_snr_db"]) / 10.0),
+            sampling_freq=float(s["sampling_freq_hz"]),
+            frame_len=float(s["frame_len_ms"]) * 1e-3,
+            hvwn_active_prob=float(s["hvwn_active_prob"]))
+        max_power_dbm = _per_item(r["max_power_dbm"], dims.num_rrhs, "radio.max_power_dbm")
+        radio = RadioParams(
+            noise_power=float(r["noise_power_w"]),
+            hvwn_interference=float(r["hvwn_interference_w"]),
+            max_power=10.0 ** (max_power_dbm / 10.0) * 1e-3,
+            reserved_rate=_per_item(r["reserved_rate"], dims.num_slices,
+                                    "radio.reserved_rate"))
+        coords = sc["rrh_coords_km"]
+        return ScenarioSpec(
+            dims=dims, sensing=sensing, radio=radio,
+            area_side=float(sc["area_side_km"]),
+            rrh_coords=None if coords is None else np.asarray(coords, dtype=float),
+            pathloss_exp=float(sc["pathloss_exp"]),
+            fading_mean=float(sc["fading_mean"]), seed=int(sc["seed"]))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from err
 
 
 def build_alt_config(cfg: dict) -> AltConfig:
@@ -248,6 +265,13 @@ def run_command(command: str, cfg: dict, out_dir: Path, verbose: bool) -> list[s
     spec = build_spec(cfg)
     grid = _sweep_grid(cfg, command, spec)
     trials = int(cfg["sweep"]["trials_per_point"])
+    # Per-item values that a command cannot carry over its grid.
+    if command == "interruption" and np.unique(spec.sensing.target_pfa).size > 1:
+        raise ConfigError("interruption needs one sensing.target_pfa for every "
+                          "sub-carrier: a trial does not say which one it draws")
+    if command == "sweep-rrhs" and isinstance(cfg["radio"]["max_power_dbm"], list):
+        raise ConfigError("sweep-rrhs changes the RRH count, so radio.max_power_dbm "
+                          "must be one number")
     if command == "interruption":
         rows = run_interruption_sweep(spec, grid, trials)
         write_csv(out_dir / "interruption.csv", rows)
@@ -287,6 +311,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs = run_command(args.command, cfg, out_dir, args.verbose)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except SearchTruncatedError as err:
         print(f"search truncated: {err}", file=sys.stderr)
         return EXIT_TRUNCATED

@@ -254,11 +254,12 @@ def interference_map(power: np.ndarray, gain: np.ndarray) -> np.ndarray:
 def idle_coeff(tau: np.ndarray, sensing: SensingParams) -> np.ndarray:
     """Idle-rate coefficient (T - tau)/T * P0 * (1 - pfa_k) of every slot, (R, K).
 
-    tau is the (R, K) sensing time; the product keeps this left-to-right
-    order, on which the bits of every rate in the package depend.
+    tau is the (R, K) sensing time, or a stack (..., R, K) of them; the
+    product keeps this left-to-right order, on which the bits of every rate
+    in the package depend.
     """
     T = sensing.frame_len
-    pfa = sensing.pfa_per_subcarrier(tau.shape[1])
+    pfa = sensing.pfa_per_subcarrier(tau.shape[-1])
     return (T - tau) / T * sensing.idle_prob * (1.0 - pfa)
 
 
@@ -267,11 +268,12 @@ def rate_table(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
     """Idle-dominant rate of every cell as if it were assigned, (R, K, N).
 
     idle_coeff * log2(1 + SINR0); an allocation's per-cell throughput is
-    this table masked by its beta.
+    this table masked by its beta. A stack (..., R, K) of sensing times
+    gives the stack (..., R, K, N) of tables from one SINR evaluation.
     """
     inter = interference_map(power, channel.downlink_gain)
     g0 = sinr_absent(power, channel.downlink_gain, inter, radio.noise_power)
-    return idle_coeff(tau, sensing)[:, :, None] * np.log2(1.0 + g0)
+    return idle_coeff(tau, sensing)[..., None] * np.log2(1.0 + g0)
 
 
 def approx_rate_cells(alloc: Allocation, channel: ChannelState,

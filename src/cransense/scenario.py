@@ -23,7 +23,7 @@ import numpy as np
 from .alternating import AltConfig, default_initialization, solve_joint
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
-                    check_constraints, total_approx_throughput)
+                    check_constraints, rate_table, total_approx_throughput)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -101,11 +101,11 @@ def generate_instance(spec: ScenarioSpec, seed: Optional[int] = None):
             rng_u = np.random.default_rng(
                 np.random.SeedSequence((base_seed, 1, s, i)))
             pos = rng_u.uniform(0.0, spec.area_side, size=2)
-            while np.any(np.linalg.norm(pos - spec.rrh_coords, axis=1)
-                         < _MIN_USER_RRH_DIST_KM):
-                pos = rng_u.uniform(0.0, spec.area_side, size=2)
-            positions[n] = pos
             dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)  # (R,)
+            while dist.min() < _MIN_USER_RRH_DIST_KM:
+                pos = rng_u.uniform(0.0, spec.area_side, size=2)
+                dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)
+            positions[n] = pos
             for r in range(R):
                 rng_f = np.random.default_rng(
                     np.random.SeedSequence((base_seed, 2, s, i, r)))
@@ -147,8 +147,12 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
 
     The fixed-tau throughput is (T - tau)/T times the rate of the sub-carriers
     whose detection target holds, so it falls between the thresholds and
-    jumps up at each; ties go to the smallest tau. Raises InfeasibleError
-    (C1) when no sub-carrier can meet its detection target within the frame.
+    jumps up at each; ties go to the smallest tau. Sub-carriers do not
+    interfere with one another, so switching one off leaves every other
+    SINR as it was: one rate table of the greedy allocation scores every
+    threshold, each score equal to evaluate_fixed_tau_throughput there.
+    Raises InfeasibleError (C1) when no sub-carrier can meet its detection
+    target within the frame.
     """
     base = default_initialization(channel, dims, sensing, radio)
     tau = base.sensing_time  # minimal_feasible_tau: the thresholds
@@ -160,8 +164,17 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
             "no sub-carrier can meet the detection target within the frame",
             detail={"constraint": "C1", "subcarriers": list(range(met.size))})
     candidates = np.unique(tau[0, met])
-    values = [evaluate_fixed_tau_throughput(t, channel, dims, sensing, radio, base)
-              for t in candidates]
+    M = candidates.size
+    # One uniform (R, K) sensing time per candidate, stored candidate-major:
+    # each candidate's slab then sums over RRHs in the order of a lone
+    # (R, K) call, so every detection probability keeps its bits.
+    stack = np.broadcast_to(candidates[:, None, None], (M,) + tau.shape).copy()
+    pd = detection_probability(stack.transpose(1, 0, 2), sensing.sampling_freq,
+                               sensing.hvwn_snr, channel.sensing_gain_sq[:, None, :],
+                               sensing.target_pfa)  # (M, K)
+    on = base.uav * (pd >= sensing.target_pd)[:, None, :, None]
+    cells = on * rate_table(stack, base.power, channel, sensing, radio)
+    values = cells.reshape(M, -1).sum(axis=1)
     return float(candidates[int(np.argmax(values))])
 
 
@@ -188,7 +201,10 @@ def run_sweep(sweep: SweepSpec, solver_config: Optional[AltConfig] = None) -> li
     rows = []
     base = sweep.base
     cfg = solver_config or AltConfig(max_outer_iters=30, assoc_node_limit=20_000)
-    carry: dict[int, tuple[int, Allocation]] = {}
+    # What each trial carries from one grid point to the next: its instance
+    # where the swept value does not change it, its last answer in the
+    # users sweep.
+    carry: dict[int, object] = {}
 
     for value in sweep.grid:
         samples, infeasible = [], 0
@@ -228,20 +244,25 @@ def _pad_users(alloc: Allocation, old_ns: int, dims: NetworkDims) -> Allocation:
 
 
 def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
-                 carry=None, trial=0) -> float:
+                 carry: dict, trial: int) -> float:
     if param == "tau":
-        channel, _ = generate_instance(base, seed=seed)
+        if trial not in carry:
+            channel, _ = generate_instance(base, seed=seed)
+            carry[trial] = channel, default_initialization(
+                channel, base.dims, base.sensing, base.radio)
+        channel, init = carry[trial]
         return evaluate_fixed_tau_throughput(value, channel, base.dims,
-                                             base.sensing, base.radio)
-    if param in ("target_pd", "target_pfa", "num_rrhs"):
-        if param == "num_rrhs":
-            spec = _with_dims(base, num_rrhs=int(value),
-                              fronthaul_cap=np.broadcast_to(
-                                  base.dims.fronthaul_cap.flat[0],
-                                  (int(value), base.dims.num_bbus)).copy())
-        else:
-            spec = dataclasses.replace(
-                base, sensing=dataclasses.replace(base.sensing, **{param: value}))
+                                             base.sensing, base.radio, init)
+    if param in ("target_pd", "target_pfa"):
+        if trial not in carry:
+            carry[trial] = generate_instance(base, seed=seed)[0]
+        sensing = dataclasses.replace(base.sensing, **{param: value})
+        return optimal_sensing_time(carry[trial], base.dims, sensing, base.radio)
+    if param == "num_rrhs":
+        spec = _with_dims(base, num_rrhs=int(value),
+                          fronthaul_cap=np.broadcast_to(
+                              base.dims.fronthaul_cap.flat[0],
+                              (int(value), base.dims.num_bbus)).copy())
         channel, _ = generate_instance(spec, seed=seed)
         return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
     if param == "num_users":
@@ -261,7 +282,7 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         # infeasible. Answers that break a constraint are dropped; with none
         # left the trial is infeasible.
         starts = [init]
-        prev = None if carry is None else carry.get(trial)
+        prev = carry.get(trial)
         if prev is not None:
             warm = _pad_users(prev[1], prev[0], spec.dims)
             residuals = check_constraints(init, spec.dims, spec.radio,
@@ -278,8 +299,7 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         values = [total_approx_throughput(a, channel, spec.sensing, spec.radio)
                   for a in answers]
         best = int(np.argmax(values))
-        if carry is not None:
-            carry[trial] = (spec.dims.users_per_slice, answers[best])
+        carry[trial] = (spec.dims.users_per_slice, answers[best])
         return values[best]
     raise ValueError(f"unknown sweep parameter {param!r}")
 

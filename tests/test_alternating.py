@@ -5,7 +5,7 @@ from conftest import make_dims, make_radio, make_sensing, random_channel
 from cransense.alternating import (AltConfig, default_initialization,
                                    minimal_feasible_tau, solve_joint)
 from cransense.cli import build_spec, load_config
-from cransense.model import (ChannelState, check_constraints,
+from cransense.model import (ChannelState, NetworkDims, check_constraints,
                              total_approx_throughput)
 from cransense.power_opt import solve_power
 from cransense.scenario import generate_instance
@@ -208,6 +208,52 @@ def test_full_scale_step_3_converges_well_inside_the_cap():
     assert len(res.iterates) <= cfg.power_max_iters // 4
     traj = res.objective_trajectory
     assert all(b >= a for a, b in zip(traj, traj[1:]))
+
+
+def slot_choice_loop(channel, dims, x):
+    """Reference for default_initialization's beta: one slot at a time, each
+    to the best-gain user of the least-served slice at that RRH so far."""
+    R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
+    user_slice = dims.user_slice
+    slice_slots = np.zeros(dims.num_slices, dtype=int)
+    beta = np.zeros((R, K, N), dtype=int)
+    for r in range(R):
+        users_r = np.flatnonzero(x[:, r])
+        if users_r.size == 0:
+            continue
+        slices_r = np.unique(user_slice[users_r])
+        for k in range(K):
+            s_min = slices_r[int(np.argmin(slice_slots[slices_r]))]
+            cands = users_r[user_slice[users_r] == s_min]
+            n_best = cands[int(np.argmax(channel.downlink_gain[r, k, cands]))]
+            beta[r, k, n_best] = 1
+            slice_slots[s_min] += 1
+    return beta
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_default_initialization_matches_slot_loop(seed):
+    # RRH 0 has no fronthaul, so no users; the other RRHs get uneven slice
+    # loads, and gains on a coarse grid make argmax ties common.
+    rng = np.random.default_rng(seed)
+    S, R, B = 1 + seed % 3, 2 + seed % 3, 2
+    K, Ns = 1 + seed % 5, 1 + (seed // 3) % 4
+    cap = rng.integers(0, 3, size=(R, B))
+    cap[0] = 0
+    dims = NetworkDims(num_slices=S, num_rrhs=R, num_bbus=B, num_subcarriers=K,
+                       users_per_slice=Ns, bbu_user_cap=int(rng.integers(1, 2 * Ns + 1)),
+                       fronthaul_cap=cap)
+    gains = rng.integers(1, 4, size=(R, K, S * Ns)) * 1e-10
+    channel = ChannelState(downlink_gain=gains,
+                           sensing_gain_sq=rng.exponential(1.0, (R, K)) + 0.2)
+    radio = make_radio(pmax=rng.uniform(0.5, 2.0, R))
+    init = default_initialization(channel, dims, make_sensing(), radio)
+    assert not init.rrh_assoc[:, 0].any()
+    beta = slot_choice_loop(channel, dims, init.rrh_assoc)
+    assert np.array_equal(init.uav, beta)
+    cells = beta.sum(axis=(1, 2))
+    share = np.divide(radio.max_power, cells, out=np.zeros(R), where=cells > 0)
+    assert np.array_equal(init.power, beta * share[:, None, None])
 
 
 def test_cold_start_still_runs_step_3():

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from cransense.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                           EXIT_TRUNCATED, ConfigError, load_config, main)
+                           EXIT_TRUNCATED, ConfigError, build_spec,
+                           load_config, main)
 
 SMALL = {
     "dims": {"num_rrhs": 2, "num_bbus": 2, "num_subcarriers": 4,
@@ -160,3 +161,59 @@ def test_pfa_sweep_command(tmp_path):
     lines = (out / "sweep_pfa.csv").read_text().splitlines()
     assert lines[0] == "target_pfa,opt_tau_ms,stderr_ms,infeasible_trials"
     assert len(lines) == 3
+
+
+def test_per_item_config_values(tmp_path):
+    # A list gives one value per sub-carrier, RRH or slice, as the library
+    # takes them; the solve runs on them end to end.
+    doc = dict(SMALL)
+    doc["sensing"] = {"target_pfa": [0.1, 0.2, 0.3, 0.2]}
+    doc["radio"] = {"max_power_dbm": [30.0, 27.0], "reserved_rate": [0.5, 0.25]}
+    cfg = load_config(write_config(tmp_path, doc))
+    spec = build_spec(cfg)
+    assert spec.sensing.target_pfa.tolist() == [0.1, 0.2, 0.3, 0.2]
+    assert spec.radio.max_power[0] == 1.0
+    assert spec.radio.max_power[1] == pytest.approx(10 ** -0.3)
+    assert spec.radio.reserved_rate.tolist() == [0.5, 0.25]
+    out = tmp_path / "run"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out",
+                 str(out), "--quiet"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())[
+        "resolved_config"]["radio"]["max_power_dbm"] == [30.0, 27.0]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("sensing", "target_pfa", [0.1, 0.2]),          # K = 4
+    ("radio", "max_power_dbm", [30.0, 30.0, 30.0]),  # R = 2
+    ("radio", "reserved_rate", [0.5]),               # S = 2
+    ("radio", "reserved_rate", [[0.5, 0.5]]),
+    ("sensing", "target_pfa", 0.95),                 # not below target_pd
+])
+def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
+    doc = dict(SMALL)
+    doc[section] = {key: value}
+    with pytest.raises(ConfigError):
+        build_spec(load_config(write_config(tmp_path, doc)))
+    out = tmp_path / "run"
+    code = main(["sweep-pfa", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("interruption", "sensing", "target_pfa", [0.1, 0.2, 0.2, 0.2]),
+    ("sweep-rrhs", "radio", "max_power_dbm", [30.0, 27.0]),
+])
+def test_per_item_value_a_command_cannot_use_exits_3(tmp_path, capsys, command,
+                                                     section, key, value):
+    doc = dict(SMALL)
+    doc[section] = {key: value}
+    doc["sweep"] = {"grid": [2, 3] if command == "sweep-rrhs" else [0.05],
+                    "trials_per_point": 1}
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+    assert key in capsys.readouterr().err

@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dims, make_radio, make_sensing
+from conftest import make_dims, make_radio, make_sensing, random_channel
+from cransense import scenario
 from cransense.alternating import default_initialization, solve_joint
 from cransense.cli import build_alt_config, build_spec, load_config
 from cransense.model import ChannelState, InfeasibleError
@@ -11,6 +15,7 @@ from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
                                 evaluate_fixed_tau_throughput,
                                 generate_instance, optimal_sensing_time,
                                 run_interruption_sweep, run_sweep)
+from cransense.sensing import detection_probability
 
 
 def small_spec(seed=0, rsv=0.0, **dim_kwargs):
@@ -60,6 +65,36 @@ def test_generate_instance_support():
     assert np.all(channel.sensing_gain_sq >= 0)
     dist = np.linalg.norm(positions[:, None, :] - spec.rrh_coords[None], axis=2)
     assert dist.min() >= 1e-3
+
+
+# sha256 of the float64 bytes of downlink_gain, sensing_gain_sq and the user
+# positions. Every benchmark input and pinned objective rests on these draws,
+# so a change to how generate_instance keys or orders them must show here.
+INSTANCE_DIGESTS = {
+    ("small", 0): ("3e0f18c4ea2c4c46953f79dbf87d19910b88805dd540a2bcb8d0a656ea3a6f99",
+                   "d0d42e5e39f6d37ad1727c17b85692d5397032cf92640dfbf97d36a0ff0d4e03",
+                   "c11175348e5f7b09e003857dcf665c532ca58394f32eea2fb428f9aabe7b6b16"),
+    ("small", 7): ("20d54d33aedd1fabfc5138a3e0697738b116bf941face51087ad68f85750b1f3",
+                   "d2aac21b3c766919f30b22abaed853270782f7539a1dd99534a17c19d06679c6",
+                   "9432ab53f9ac9e70adcccfd1b5d6d2ea581e070fa9f8fc4be7c043dcd86d9c08"),
+    ("default", 0): ("63206fd054d8f5af4eca63863caf32f1ad7b3128b4c05c8725923bdec3832802",
+                     "d193b6d7a8c061492925937d2acc8f5799b89e5e7abbf999b3684eea0d65a3ee",
+                     "8b1a7b10340b7b09d5791faab5dd19d0dc69cb5d805a749563b6c679a4974ef7"),
+    ("default", 7): ("4d40b1713cc327a1272fd2c6e55e94044e543ec56e656ee8c093ae3c243069b7",
+                     "398824fadf0a1413f599432bb7a038c3afbee69f2af8130d8fc4902c3a5a896e",
+                     "077d0661fb59dff4f273f6b06d6f33452eb9e03cb5bcf6972a1322b2d9f9b223"),
+}
+
+
+@pytest.mark.parametrize("size,seed", sorted(INSTANCE_DIGESTS))
+def test_instance_bits_are_pinned(size, seed):
+    spec = small_spec() if size == "small" else build_spec(load_config(None))
+    channel, positions = generate_instance(spec, seed=seed)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
+                                   .tobytes()).hexdigest()
+                    for a in (channel.downlink_gain, channel.sensing_gain_sq,
+                              positions))
+    assert digests == INSTANCE_DIGESTS[size, seed]
 
 
 def test_channel_statistics_match_declared_distributions():
@@ -139,6 +174,50 @@ def test_optimal_sensing_time_matches_dense_grid(case):
     assert best >= probes - 1e-12 * abs(probes)
 
 
+def threshold_argmax(channel, dims, sensing, radio):
+    """Reference: evaluate_fixed_tau_throughput at every distinct threshold
+    that meets the detection target, first maximum (the smallest tau) wins."""
+    base = default_initialization(channel, dims, sensing, radio)
+    tau = base.sensing_time
+    pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
+                               channel.sensing_gain_sq, sensing.target_pfa)
+    candidates = np.unique(tau[0, pd >= sensing.target_pd])
+    if candidates.size == 0:
+        return None
+    values = [evaluate_fixed_tau_throughput(t, channel, dims, sensing, radio, base)
+              for t in candidates]
+    return float(candidates[int(np.argmax(values))])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 9), K=st.integers(1, 5),
+       Ns=st.integers(1, 3), per_k_pfa=st.booleans(), deaf=st.booleans(),
+       weak=st.booleans(), no_users=st.booleans())
+def test_optimal_sensing_time_is_the_threshold_argmax(seed, R, K, Ns, per_k_pfa,
+                                                      deaf, weak, no_users):
+    # deaf: sub-carrier 0 has no sensing gain and never meets target_pd;
+    # weak: the last one needs more than the frame; no_users: every rate is
+    # 0, so all thresholds tie and the smallest must win.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(R=R, B=2, K=K, Ns=Ns, omax=0 if no_users else 2 * Ns,
+                     cmax=2 * Ns)
+    sensing = make_sensing(pfa=rng.uniform(0.05, 0.4, K) if per_k_pfa else 0.2)
+    radio = make_radio()
+    drawn = random_channel(dims, rng)
+    g = drawn.sensing_gain_sq.copy()
+    if deaf:
+        g[:, 0] = 0.0
+    if weak:
+        g[:, -1] *= 1e-4
+    channel = ChannelState(downlink_gain=drawn.downlink_gain, sensing_gain_sq=g)
+    expected = threshold_argmax(channel, dims, sensing, radio)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            optimal_sensing_time(channel, dims, sensing, radio)
+    else:
+        assert optimal_sensing_time(channel, dims, sensing, radio) == expected
+
+
 def test_optimal_sensing_time_raises_when_detection_is_unattainable():
     spec = small_spec(seed=4)
     channel, _ = generate_instance(spec)
@@ -185,6 +264,25 @@ def test_tau_sweep_rows_and_determinism():
                             "infeasible_trials"}
         assert row["infeasible_trials"] == 0
         assert row["stderr"] >= 0.0
+
+
+@pytest.mark.parametrize("param,grid", [("tau", (0.02, 0.05, 0.1)),
+                                        ("target_pd", (0.8, 0.9)),
+                                        ("target_pfa", (0.1, 0.2, 0.3))])
+def test_sweep_draws_each_trial_instance_once(monkeypatch, param, grid):
+    spec = small_spec(seed=3)
+    drawn = []
+    draw = scenario.generate_instance
+
+    def counting(spec, seed=None):
+        drawn.append(seed)
+        return draw(spec, seed=seed)
+
+    monkeypatch.setattr(scenario, "generate_instance", counting)
+    rows = run_sweep(SweepSpec(param, grid, 3, spec))
+    assert sorted(drawn) == [3, 4, 5]
+    # A one-point sweep draws its instances afresh: same rows, same bits.
+    assert rows == [run_sweep(SweepSpec(param, (v,), 3, spec))[0] for v in grid]
 
 
 def test_users_sweep_throughput_grows():
