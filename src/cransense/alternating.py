@@ -54,6 +54,11 @@ def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.nd
     accepts it. Unattainable entries (no sensing gain, or clamped at T) keep
     the closed form.
     """
+    return _thresholds_and_met(channel, sensing)[0]
+
+
+def _thresholds_and_met(channel: ChannelState, sensing: SensingParams):
+    """minimal_feasible_tau and the mask of sub-carriers whose target it meets."""
     g = channel.sensing_gain_sq
     floor, lmax = sensing_opt.lambda_box(sensing)
     b = detection_threshold(sensing, g)
@@ -69,7 +74,10 @@ def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.nd
         if not short.any():
             break
         tau[:, short] = np.nextafter(tau[:, short], np.inf)
-    return tau
+    else:  # the last step moved tau past the last check
+        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g,
+                                   sensing.target_pfa)
+    return tau, pd >= sensing.target_pd
 
 
 def default_initialization(channel: ChannelState, dims: NetworkDims,
@@ -82,6 +90,13 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
     best-gain assigned user; power is spread uniformly over each RRH's
     active cells; tau starts at the minimal detection-feasible point.
     """
+    return _initialization_and_met(channel, dims, sensing, radio,
+                                   user_positions, rrh_coords)[0]
+
+
+def _initialization_and_met(channel, dims, sensing, radio, user_positions=None,
+                            rrh_coords=None):
+    """default_initialization and the mask of sub-carriers whose target its tau meets."""
     R, K, N, B = dims.num_rrhs, dims.num_subcarriers, dims.num_users, dims.num_bbus
 
     if user_positions is not None and rrh_coords is not None:
@@ -139,9 +154,9 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
         if cnt:
             power[r][active] = pmax[r] / cnt
 
-    tau = minimal_feasible_tau(channel, sensing)
+    tau, met = _thresholds_and_met(channel, sensing)
     return Allocation(sensing_time=tau, power=power, uav=beta,
-                      rrh_assoc=x, bbu_assoc=f, linkage=None)
+                      rrh_assoc=x, bbu_assoc=f, linkage=None), met
 
 
 def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,

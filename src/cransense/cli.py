@@ -269,9 +269,11 @@ def run_command(command: str, cfg: dict, out_dir: Path, verbose: bool) -> list[s
     if command == "interruption" and np.unique(spec.sensing.target_pfa).size > 1:
         raise ConfigError("interruption needs one sensing.target_pfa for every "
                           "sub-carrier: a trial does not say which one it draws")
-    if command == "sweep-rrhs" and isinstance(cfg["radio"]["max_power_dbm"], list):
-        raise ConfigError("sweep-rrhs changes the RRH count, so radio.max_power_dbm "
-                          "must be one number")
+    if command == "sweep-rrhs":
+        for section, key in (("radio", "max_power_dbm"), ("dims", "fronthaul_cap")):
+            if isinstance(cfg[section][key], list):
+                raise ConfigError(f"sweep-rrhs changes the RRH count, so {section}.{key} "
+                                  "must be one number")
     if command == "interruption":
         rows = run_interruption_sweep(spec, grid, trials)
         write_csv(out_dir / "interruption.csv", rows)

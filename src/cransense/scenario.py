@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .alternating import AltConfig, default_initialization, solve_joint
+from .alternating import (AltConfig, _initialization_and_met,
+                          default_initialization, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     check_constraints, rate_table, total_approx_throughput)
@@ -154,11 +155,8 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
     Raises InfeasibleError (C1) when no sub-carrier can meet its detection
     target within the frame.
     """
-    base = default_initialization(channel, dims, sensing, radio)
+    base, met = _initialization_and_met(channel, dims, sensing, radio)
     tau = base.sensing_time  # minimal_feasible_tau: the thresholds
-    pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
-                               channel.sensing_gain_sq, sensing.target_pfa)
-    met = pd >= sensing.target_pd
     if not met.any():
         raise InfeasibleError(
             "no sub-carrier can meet the detection target within the frame",

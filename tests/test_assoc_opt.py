@@ -358,3 +358,180 @@ def test_search_is_pinned(monkeypatch, case, nodes, objective, prunes):
     assert res.nodes_explored == nodes
     assert res.objective == objective
     assert searches[-1].prune_causes == prunes
+
+
+class FromScratchSearch:
+    """The search with a numpy bound table rebuilt for every new user and
+    numpy tail sums at every node: the reference _Search must match node for
+    node."""
+
+    def __init__(self, rates, slot_r, dims, rsv, node_limit):
+        self.rates = rates
+        self.slot_r = slot_r
+        self.floor = rsv - 1e-9
+        self.node_limit = node_limit
+        self.user_slice = dims.user_slice
+        in_slice = self.user_slice == np.arange(dims.num_slices)[:, None]
+        self.slice_rates = np.where(in_slice[:, None, :], rates, 0.0)
+        self.rrh_ids = np.arange(dims.num_rrhs)[:, None]
+        self.cuts = assoc_opt._cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
+                                         dims.fronthaul_cap)
+        self.assigned = np.full(dims.num_users, -1)
+        self.counts = np.zeros(dims.num_rrhs, dtype=int)
+        self.slice_acc = np.zeros(dims.num_slices)
+        self.choice = np.full(rates.shape[0], -1)
+        self.obj_acc = 0.0
+        self.nodes = 0
+        self.hit_limit = False
+        self.best_obj = -np.inf
+        self.best = None
+        self.prune_causes = {"bound": 0, "C10": 0, "capacity": 0}
+        order = np.argsort(-rates, axis=1, kind="stable").tolist()
+        positive = (rates > 0.0).sum(axis=1).tolist()
+        self.cand = [row[:m] for row, m in zip(order, positive)]
+        self.root_table = None  # dfs builds the table
+
+    def bound_table(self):
+        allowed = ((self.assigned < 0) | (self.assigned == self.rrh_ids))[self.slot_r]
+        vals = np.where(allowed, self.slice_rates, 0.0).max(axis=2)
+        return vals, vals.max(axis=0)
+
+    def dfs(self, i, table=None):
+        if self.hit_limit:
+            return
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            self.hit_limit = True
+            return
+        if i == self.rates.shape[0]:
+            if (self.slice_acc >= self.floor).all():
+                if self.obj_acc > self.best_obj + assoc_opt._TIE_TOL:
+                    self.best_obj = self.obj_acc
+                    self.best = (self.choice.copy(), self.assigned.copy())
+            else:
+                self.prune_causes["C10"] += 1
+            return
+        if table is None:
+            table = self.bound_table()
+        vals, per_slot = table
+        if self.obj_acc + float(per_slot[i:].sum()) <= self.best_obj + assoc_opt._TIE_TOL:
+            self.prune_causes["bound"] += 1
+            return
+        if (self.slice_acc + vals[:, i:].sum(axis=1) < self.floor).any():
+            self.prune_causes["C10"] += 1
+            return
+        r = int(self.slot_r[i])
+        for n in self.cand[i]:
+            prev = self.assigned[n]
+            if prev >= 0 and prev != r:
+                continue
+            fresh = prev < 0
+            if fresh:
+                self.assigned[n] = r
+                self.counts[r] += 1
+                if not assoc_opt._servable(self.counts, self.cuts):
+                    self.prune_causes["capacity"] += 1
+                    self.assigned[n] = -1
+                    self.counts[r] -= 1
+                    continue
+            rate = self.rates[i, n]
+            s = self.user_slice[n]
+            self.choice[i] = n
+            self.obj_acc += rate
+            self.slice_acc[s] += rate
+            self.dfs(i + 1, None if fresh else table)
+            self.choice[i] = -1
+            self.obj_acc -= rate
+            self.slice_acc[s] -= rate
+            if fresh:
+                self.assigned[n] = -1
+                self.counts[r] -= 1
+        self.dfs(i + 1, table)
+
+
+def traced_solve(search_cls, rates, dims, floor, warm):
+    """solve_association on a given rate table; its answer or error, and prunes."""
+    searches = []
+
+    class Recording(search_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    R, K, N = rates.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assoc_opt, "_Search", Recording)
+        mp.setattr(assoc_opt, "rate_table", lambda *args: rates)
+        try:
+            res = solve_association(np.full((R, K), 0.02), np.zeros((R, K, N)), None,
+                                    dims, make_sensing(), make_radio(rsv=floor),
+                                    node_limit=20_000, warm_start=warm)
+        except InfeasibleError as err:
+            return type(err).__name__, err.detail, searches[-1].prune_causes
+    return ((res.objective.hex(), res.nodes_explored, res.proven_optimal,
+             res.uav.tolist(), res.bbu_assoc.tolist()), searches[-1].prune_causes)
+
+
+def floors_on_root_tails(rates, dims, left_to_right):
+    """Per-slice reserved rates whose C10 floor equals the slice's root tail.
+
+    The root tail is the sum over slots, in search order, of the slice's best
+    rate; added left to right (as numpy adds a short row) or right to left,
+    so the root's C10 test ties or misses by the bits the order decides.
+    """
+    R, K, N = rates.shape
+    order = np.argsort(-rates.max(axis=2).ravel(), kind="stable")
+    by_slot = rates.reshape(R * K, N)[order]
+    reserved = []
+    for s in range(dims.num_slices):
+        row = by_slot[:, dims.user_slice == s].max(axis=1).tolist()
+        tail = 0.0
+        for v in row if left_to_right else row[::-1]:
+            tail += v
+        rsv = tail + 1e-9  # the search's floor is rsv - 1e-9: land it on tail
+        for _ in range(4):
+            if rsv - 1e-9 != tail:
+                rsv = np.nextafter(rsv, np.inf if rsv - 1e-9 < tail else -np.inf)
+        reserved.append(rsv)
+    return np.array(reserved)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 3),
+       S=st.integers(1, 3), Ns=st.integers(1, 2), omax=st.integers(1, 3),
+       cmax=st.integers(0, 2), grid=st.sampled_from([None, (0.1, 0.2, 0.3)]),
+       floor=st.sampled_from([None, 0.1, 0.3, 0.6, "tail", "reversed tail"]),
+       warm=st.booleans())
+def test_search_matches_from_scratch_reference(seed, R, K, S, Ns, omax, cmax, grid,
+                                               floor, warm):
+    # On a 3-value grid, tails and floors tie exactly, so a prune decided by
+    # any sum but numpy's own would show up as a different search.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=S, R=R, B=2, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    shape = (R, K, dims.num_users)
+    if grid is None:
+        rates = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.8)
+    else:
+        rates = rng.choice([0.0, *grid], size=shape)
+    if floor is None:
+        rsv = 0.0
+    elif isinstance(floor, str):
+        rsv = floors_on_root_tails(rates, dims, floor == "tail")
+    else:
+        rsv = floor + 1e-9
+    alloc = random_alloc(dims, rng) if warm else None
+    want = traced_solve(FromScratchSearch, rates, dims, rsv, alloc)
+    got = traced_solve(assoc_opt._Search, rates, dims, rsv, alloc)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan])
+def test_negative_or_nan_rate_is_rejected(monkeypatch, bad):
+    # The search's tail-sum bracket holds only for summands >= 0.
+    dims = tiny_dims()
+    rates = np.full((2, 2, dims.num_users), 0.1)
+    rates[1, 0, 2] = bad
+    monkeypatch.setattr(assoc_opt, "rate_table", lambda *args: rates)
+    with pytest.raises(ValueError, match="non-negative"):
+        solve_association(np.full((2, 2), 0.02), np.zeros((2, 2, dims.num_users)),
+                          None, dims, make_sensing(), make_radio())

@@ -217,3 +217,16 @@ def test_per_item_value_a_command_cannot_use_exits_3(tmp_path, capsys, command,
                  "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
     assert key in capsys.readouterr().err
+
+
+def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
+    # The sweep rebuilds fronthaul_cap for every RRH count; a per-link matrix
+    # has no value for the RRHs it adds, so it is refused, not flattened.
+    doc = dict(SMALL)
+    doc["dims"] = dict(SMALL["dims"], fronthaul_cap=[[1, 2], [3, 4]])
+    doc["sweep"] = {"grid": [2, 3], "trials_per_point": 1}
+    out = tmp_path / "run"
+    assert main(["sweep-rrhs", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+    assert "fronthaul_cap" in capsys.readouterr().err
