@@ -60,14 +60,18 @@ class AssocSolveResult:
 _MAX_BBUS = 16  # the cut table has 2^B rows
 
 
+def _subsets(B):
+    """(2^B, B) 0/1 membership: row Y holds BBU b when bit b of Y is set."""
+    return (np.arange(2 ** B)[:, None] >> np.arange(B)) & 1
+
+
 def _cut_table(bbu_cap, fronthaul_cap):
     """Gale's cut table over every BBU subset Y (bit b of the row index).
 
     Returns (inside, outside): inside (2^B,) is the processing cap of the
     BBUs in Y, outside (2^B, R) each RRH's fronthaul into the BBUs not in Y.
     """
-    B = fronthaul_cap.shape[1]
-    member = (np.arange(2 ** B)[:, None] >> np.arange(B)) & 1
+    member = _subsets(fronthaul_cap.shape[1])
     return member @ bbu_cap, (1 - member) @ fronthaul_cap.T
 
 
@@ -271,24 +275,33 @@ def _deterministic_bbu_assignment(assigned, dims):
 
     Each served user, in index order, takes the lowest-index BBU whose unit
     of capacity leaves the users after it servable, which keeps the whole
-    map servable at every step.
+    map servable at every step. The cut table is built once: taking a unit
+    of BBU b's capacity and of the r->b link lowers inside by b's membership
+    column and outside[:, r] by its complement, in exact integers.
     """
-    bbu_left = np.full(dims.num_bbus, dims.bbu_user_cap)
-    link_left = dims.fronthaul_cap.copy()
+    inside, outside = _cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
+                                 dims.fronthaul_cap)
+    member = _subsets(dims.num_bbus)
+    other = 1 - member
+    bbu_left = [dims.bbu_user_cap] * dims.num_bbus
+    link_left = dims.fronthaul_cap.tolist()
     left = np.bincount(assigned[assigned >= 0], minlength=dims.num_rrhs)
     f = np.zeros((dims.num_users, dims.num_bbus), dtype=int)
-    for n in np.flatnonzero(assigned >= 0):
-        r = assigned[n]
+    for n in np.flatnonzero(assigned >= 0).tolist():
+        r = int(assigned[n])
         left[r] -= 1
         for b in range(dims.num_bbus):
-            bbu_left[b] -= 1
-            link_left[r, b] -= 1
-            if min(bbu_left[b], link_left[r, b]) >= 0 and \
-                    _servable(left, _cut_table(bbu_left, link_left)):
+            if bbu_left[b] < 1 or link_left[r][b] < 1:
+                continue
+            inside -= member[:, b]
+            outside[:, r] -= other[:, b]
+            if _servable(left, (inside, outside)):
+                bbu_left[b] -= 1
+                link_left[r][b] -= 1
                 f[n, b] = 1
                 break
-            bbu_left[b] += 1
-            link_left[r, b] += 1
+            inside += member[:, b]
+            outside[:, r] += other[:, b]
     return f
 
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense.gaussian import q_inv
-from cransense.model import InfeasibleError, total_approx_throughput
+from cransense.model import (Allocation, ChannelState, InfeasibleError,
+                             rate_table, total_approx_throughput)
 from cransense.sensing import alpha, detection_probability
-from cransense.sensing_opt import _solve_one_subcarrier, solve_sensing
+from cransense.sensing_opt import (_solve_one_subcarrier, lambda_box,
+                                   solve_sensing)
 
 
 def detection_threshold(sensing, gains_k):
@@ -70,6 +74,97 @@ def test_single_subcarrier_infeasible_returns_none():
     lam = _solve_one_subcarrier(np.array([1.0, 1.0]), np.zeros(2),
                                 5.0, 1e-6, 10.0)
     assert lam is None
+
+
+def bisection_subcarrier(weights, gains, b, floor, lmax):
+    """Reference solver: the same prelude, then mu by doubling from 1 and 200
+    halvings of [0, 2^j]."""
+    R = len(weights)
+    lam = np.full(R, floor)
+    need = b - float(lam @ gains)
+    if need <= 0.0:
+        return lam
+    free = (weights <= 1e-15) & (gains > 0.0)
+    for r in np.flatnonzero(free):
+        cap = (lmax - floor) * gains[r]
+        take = min(need, cap)
+        lam[r] = floor + take / gains[r]
+        need -= take
+        if need <= 0.0:
+            return lam
+    active = (~free) & (gains > 0.0) & (weights > 1e-15)
+    if not np.any(active):
+        return None
+    g_a = gains[active]
+    w_a = weights[active]
+
+    def profile(mu):
+        return np.clip(mu * g_a / (2.0 * w_a), floor, lmax)
+
+    target = b - float(lam[~active] @ gains[~active])
+    if float(np.full(g_a.shape, lmax) @ g_a) < target - 1e-12:
+        return None
+    mu_hi = 1.0
+    while float(profile(mu_hi) @ g_a) < target:
+        mu_hi *= 2.0
+        if mu_hi > 1e300:
+            return None
+    mu_lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if float(profile(mid) @ g_a) >= target:
+            mu_hi = mid
+        else:
+            mu_lo = mid
+    lam[active] = profile(mu_hi)
+    return lam
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 8),
+       shape=st.sampled_from(["plain", "zeros", "repeated ratios", "huge ratios"]),
+       where=st.sampled_from(["anywhere", "at a breakpoint", "just above floor",
+                              "saturated", "None band"]),
+       lmax=st.sampled_from([10.0, None]))
+def test_exact_multiplier_matches_bisection(seed, R, shape, where, lmax):
+    rng = np.random.default_rng(seed)
+    floor, lmax = (1e-9 * lmax, lmax) if lmax else lambda_box(make_sensing())
+    weights = rng.exponential(1.0, R)
+    gains = rng.exponential(1.0, R)
+    if shape == "zeros":
+        weights[rng.uniform(size=R) < 0.3] = 0.0
+        gains[rng.uniform(size=R) < 0.3] = 0.0
+    elif shape == "repeated ratios":  # coinciding breakpoints
+        weights = rng.choice([0.5, 1.0, 2.0], size=R)
+        gains = weights * rng.choice([1.0, 3.0], size=R)
+    elif shape == "huge ratios":  # mu far below 2^-148, where the bisection
+        weights *= 1e-14          # resolves it only to multiples of 2^-200
+        weights += 1e-14
+        gains *= 1e30
+    if where == "at a breakpoint":
+        weights[0], gains[0] = weights[0] or 1.0, gains[0] or 1.0
+    active = (weights > 1e-15) & (gains > 0.0)
+    g_a, w_a = gains[active], weights[active]
+    if where == "anywhere":
+        b = rng.uniform(0.0, 1.1) * lmax * gains.sum()
+    elif where == "at a breakpoint":
+        r = rng.integers(active.sum())
+        mu = rng.choice([floor, lmax]) * 2.0 * w_a[r] / g_a[r]
+        lam = np.full(R, floor)
+        lam[active] = np.clip(mu * g_a / (2.0 * w_a), floor, lmax)
+        b = float(lam @ gains)
+    elif where == "just above floor":
+        b = floor * gains.sum() + rng.choice([1e-18, 1e-15, 1e-12, 1e-9])
+    elif where == "saturated":
+        b = float(np.full(R, lmax) @ gains)
+    else:  # lmax * sum(g) falls short of the target by at most 1e-12
+        weights = np.where(weights > 0.0, weights, 1.0)
+        b = float(np.full(R, lmax) @ gains) + rng.choice([1e-13, 5e-13, 1e-12])
+    want = bisection_subcarrier(weights, gains, b, floor, lmax)
+    got = _solve_one_subcarrier(weights, gains, b, floor, lmax)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
 
 
 def small_problem(rng, R=2, K=2, rsv=0.0):
@@ -145,6 +240,35 @@ def test_infeasible_slice_rate_raises(rng):
     with pytest.raises(InfeasibleError) as exc:
         solve_sensing(alloc, channel, dims, sensing, radio)
     assert exc.value.detail["constraint"] == "C10"
+    assert exc.value.detail["certified"] is True
+
+
+def test_slice_floors_met_alone_but_not_together_raise_uncertified():
+    # Two slices, one user each, on RRHs 0 and 1 of one sub-carrier with equal
+    # cells. Either RRH can carry the detection constraint alone, so either
+    # floor is reachable in isolation, but both floors together cap
+    # lam_0 + lam_1 at 0.8 b_k < b_k: infeasible, yet not provably so by
+    # maximizing one slice's rate.
+    dims = make_dims(S=2, R=2, B=1, K=1, Ns=1, omax=2, cmax=2)
+    sensing = make_sensing()
+    channel = ChannelState(downlink_gain=np.full((2, 1, 2), 1e-10),
+                           sensing_gain_sq=np.ones((2, 1)))
+    uav = np.zeros((2, 1, 2), dtype=int)
+    uav[0, 0, 0] = uav[1, 0, 1] = 1
+    alloc = Allocation(sensing_time=np.full((2, 1), 1e-3), power=0.1 * uav,
+                       uav=uav, rrh_assoc=np.eye(2, dtype=int),
+                       bbu_assoc=np.ones((2, 1), dtype=int), linkage=None)
+    b = detection_threshold(sensing, channel.sensing_gain_sq[:, 0])
+    rates = rate_table(np.zeros((2, 1)), alloc.power, channel, sensing, make_radio())
+    w = float(rates[0, 0, 0])  # both cells: same gain, same power
+    T, nu = sensing.frame_len, sensing.sampling_freq
+    assert b < np.sqrt(T * nu)  # one RRH alone meets detection within the frame
+    radio = make_radio(rsv=w * (1.0 - (0.4 * b) ** 2 / (T * nu)))
+    with pytest.raises(InfeasibleError) as exc:
+        solve_sensing(alloc, channel, dims, sensing, radio)
+    assert exc.value.detail["constraint"] == "C10"
+    assert exc.value.detail["certified"] is False
+    assert "without a proof" in str(exc.value)
 
 
 def test_slice_rate_dual_recovery(rng):
