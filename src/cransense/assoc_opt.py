@@ -9,7 +9,8 @@ min-cut on the RRH->BBU transportation graph), so the capacity test is one
 vectorized comparison against a table built once per search, with 2^B rows
 (B <= 16). The search branches slot by slot in descending
 best-rate order with an admissible per-slot bound, so the first leaf is the
-greedy solution and the certified optimum follows.
+greedy solution and the certified optimum follows. A warm start enters as
+one more leaf, accepted by the rules the search applies to its own leaves.
 
 The bound table holds, per slice and slot, the best rate of a user still
 allowed on that slot's RRH. At the root it is each slice's plain maximum.
@@ -311,10 +312,13 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
                       warm_start: Optional[Allocation] = None) -> AssocSolveResult:
     """Exact optimum of the association ILP by branch-and-bound.
 
-    warm_start seeds the incumbent (checked for feasibility at the current
-    tau/p first), which both speeds the search and guarantees the result is
-    never worse than the provided allocation. ValueError when num_bbus
-    exceeds 16: the capacity test enumerates every BBU subset.
+    warm_start seeds the incumbent with the leaf that serves its uav's
+    cells, scored at the current tau/p, when the search would accept that
+    leaf itself; its rrh_assoc and bbu_assoc are not read, since the answer
+    rebuilds x and f from the served users. The seed both speeds the search
+    and keeps the result no worse than the warm start's beta. ValueError
+    when num_bbus exceeds 16 (the capacity test enumerates every BBU
+    subset) or when warm_start.uav is not (R, K, N).
     """
     if dims.num_bbus > _MAX_BBUS:
         raise ValueError(f"num_bbus={dims.num_bbus} exceeds {_MAX_BBUS}: the "
@@ -324,17 +328,15 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
     rsv = radio.reserved_rate_per_slice(dims.num_slices)
 
     # Slot-major table, slots ordered by best achievable rate.
-    slots = [(r, k) for r in range(R) for k in range(K)]
-    best_per_slot = rates_rkn.max(axis=2).ravel()
-    order = np.argsort(-best_per_slot, kind="stable")
-    slot_r = np.array([slots[i][0] for i in order])
-    slot_k = np.array([slots[i][1] for i in order])
+    order = np.argsort(-rates_rkn.max(axis=2).ravel(), kind="stable")
+    slot_r, slot_k = np.divmod(order, K)
     rates = rates_rkn[slot_r, slot_k, :]  # (num_slots, N)
 
     search = _Search(rates, slot_r, dims, rsv, node_limit)
 
     if warm_start is not None:
-        seed = _seed_from_warm_start(warm_start, rates_rkn, dims, rsv, slot_r, slot_k)
+        seed = _seed_from_warm_start(warm_start.uav, rates_rkn, dims, search,
+                                     slot_r, slot_k)
         if seed is not None:
             search.best_obj, search.best = seed
 
@@ -355,18 +357,15 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
             f"association ILP infeasible; dominant pruning family: {family}",
             detail={"constraint": cause, "prunes": dict(search.prune_causes)})
 
-    choice, assigned = search.best
+    # A leaf assigns exactly the users it serves.
+    choice, assigned = map(np.asarray, search.best)
+    on = choice >= 0
     beta = np.zeros((R, K, N), dtype=int)
-    for j in range(len(choice)):
-        if choice[j] >= 0:
-            beta[slot_r[j], slot_k[j], choice[j]] = 1
+    beta[slot_r[on], slot_k[on], choice[on]] = 1
+    served = np.flatnonzero(assigned >= 0)
     x = np.zeros((N, R), dtype=int)
-    for n in range(N):
-        if assigned[n] >= 0 and beta[assigned[n], :, n].any():
-            x[n, assigned[n]] = 1
-    served = x.sum(axis=1) > 0
-    assigned_eff = np.where(served, assigned, -1)
-    f = _deterministic_bbu_assignment(assigned_eff, dims)
+    x[served, assigned[served]] = 1
+    f = _deterministic_bbu_assignment(assigned, dims)
     y = Allocation(sensing_time=tau, power=power, uav=beta, rrh_assoc=x,
                    bbu_assoc=f).derived_linkage()
     return AssocSolveResult(bbu_assoc=f, rrh_assoc=x, uav=beta, linkage=y,
@@ -375,33 +374,26 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
                             proven_optimal=not search.hit_limit)
 
 
-def _seed_from_warm_start(alloc, rates_rkn, dims, rsv, slot_r, slot_k):
-    """Incumbent from a previous allocation, or None when it is infeasible."""
-    beta = np.asarray(alloc.uav, dtype=int)
-    x = np.asarray(alloc.rrh_assoc, dtype=int)
-    f = np.asarray(alloc.bbu_assoc, dtype=int)
-    if beta.shape != rates_rkn.shape:
+def _seed_from_warm_start(uav, rates_rkn, dims, search, slot_r, slot_k):
+    """(objective, (choice, assigned)) of the leaf serving uav's cells.
+
+    None when the search would reject that leaf: two users in a slot (C5),
+    a user served by two RRHs (C4/C6), per-RRH counts the BBU pool cannot
+    serve (C3/C7/C8), or a slice below its floor (C10).
+    """
+    on = np.asarray(uav, dtype=int) != 0
+    if on.shape != rates_rkn.shape:
+        raise ValueError(f"warm_start.uav has shape {on.shape}, expected "
+                         f"(R, K, N) = {rates_rkn.shape}")
+    user_rrh = on.any(axis=1)  # (R, N)
+    if (on.sum(axis=2) > 1).any() or (user_rrh.sum(axis=0) > 1).any():
         return None
-    if np.any(beta.sum(axis=2) > 1) or np.any(x.sum(axis=1) > 1):
+    if not _servable(user_rrh.sum(axis=1), search.cuts):
         return None
-    if np.any(beta > x.T[:, None, :]):
+    cell_rates = on * rates_rkn
+    if (slice_rates(cell_rates, dims) < np.asarray(search.floor)).any():
         return None
-    if np.any(f.sum(axis=0) > dims.bbu_user_cap):
-        return None
-    if np.any(np.abs(f.sum(axis=1) - x.sum(axis=1)) > 0):
-        return None
-    load = np.einsum("nb,nr->rb", f, x)
-    if np.any(load > dims.fronthaul_cap):
-        return None
-    cell_rates = beta * rates_rkn
-    per_slice = slice_rates(cell_rates, dims)
-    if np.any(per_slice < rsv - 1e-9):
-        return None
-    obj = float(cell_rates.sum())
-    assigned = np.where(x.sum(axis=1) > 0, np.argmax(x, axis=1), -1)
-    # The stored best only needs choice/assigned shaped data for rebuild;
-    # encode the warm start through its beta directly: each slot's first
-    # user with a nonzero entry, -1 for an empty slot.
-    picked = beta[slot_r, slot_k] != 0
+    picked = on[slot_r, slot_k]
     choice = np.where(picked.any(axis=1), picked.argmax(axis=1), -1)
-    return obj, (choice, assigned)
+    assigned = np.where(user_rrh.any(axis=0), user_rrh.argmax(axis=0), -1)
+    return float(cell_rates.sum()), (choice, assigned)

@@ -278,7 +278,8 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         # them. An init that breaks a constraint is skipped when the carry
         # exists: every block solve falls back from it, so its answer stays
         # infeasible. Answers that break a constraint are dropped; with none
-        # left the trial is infeasible.
+        # left the trial is infeasible. Each answer's objective is the last
+        # entry of its trajectory: solve_joint returns what it last scored.
         starts = [init]
         prev = carry.get(trial)
         if prev is not None:
@@ -288,17 +289,15 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
             starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
         solved = [solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)
                   for start in starts]
-        answers = [alloc for alloc, report in solved
+        answers = [(report.objective_trajectory[-1], alloc) for alloc, report in solved
                    if max(report.constraint_residuals.values()) <= FEASIBILITY_TOL]
         if not answers:
             raise InfeasibleError(
                 f"no joint solve of {value} users per slice ends feasible",
                 detail={"residuals": solved[-1][1].constraint_residuals})
-        values = [total_approx_throughput(a, channel, spec.sensing, spec.radio)
-                  for a in answers]
-        best = int(np.argmax(values))
-        carry[trial] = (spec.dims.users_per_slice, answers[best])
-        return values[best]
+        obj, alloc = answers[int(np.argmax([v for v, _ in answers]))]
+        carry[trial] = (spec.dims.users_per_slice, alloc)
+        return obj
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 

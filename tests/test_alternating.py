@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dims, make_radio, make_sensing, random_channel
 from cransense import alternating
 from cransense.alternating import (AltConfig, default_initialization,
                                    minimal_feasible_tau, solve_joint)
 from cransense.cli import build_spec, load_config
-from cransense.model import (ChannelState, NetworkDims, check_constraints,
-                             total_approx_throughput)
+from cransense.model import (ChannelState, InfeasibleError, NetworkDims,
+                             check_constraints, total_approx_throughput)
 from cransense.power_opt import solve_power
 from cransense.scenario import generate_instance
 from cransense.sensing import detection_probability, detection_threshold
@@ -292,3 +296,92 @@ def test_cold_start_still_runs_step_3():
     assert all(step != "step3" for _, step, _ in report.step_fallbacks)
     assert report.converged
     assert report.objective_trajectory[-1] > obj0
+
+
+def checked_solve(channel, dims, radio, fallback="keep-previous"):
+    """solve_joint from the default start, with the properties every solve has.
+
+    The trajectory never falls, a converged answer meets C1-C10 to 1e-6,
+    every returned array is finite, and the one error that escapes is an
+    InfeasibleError with a dict detail, in abort mode. Returns None for it.
+    """
+    sensing = make_sensing()
+    init = default_initialization(channel, dims, sensing, radio)
+    try:
+        alloc, report = solve_joint(init, channel, dims, sensing, radio,
+                                    AltConfig(fallback_on_infeasible_step=fallback))
+    except InfeasibleError as err:
+        assert fallback == "abort"
+        assert isinstance(err.detail, dict)
+        return None
+    traj = report.objective_trajectory
+    assert all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
+    if report.converged:
+        assert max(report.constraint_residuals.values()) <= 1e-6
+    for arr in (traj, alloc.sensing_time, alloc.power, alloc.uav, alloc.rrh_assoc,
+                alloc.bbu_assoc, alloc.derived_linkage()):
+        assert np.isfinite(arr).all()
+    if alloc.linkage is not None:
+        assert np.array_equal(alloc.linkage, alloc.derived_linkage())
+    return report
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 3),
+       Ns=st.integers(1, 2), omax=st.integers(0, 3), cmax=st.integers(0, 2),
+       rsv=st.sampled_from([0.0, 0.1, 1.0]),
+       fallback=st.sampled_from(["keep-previous", "abort"]))
+def test_property_solve_joint_is_monotone_finite_and_honest(seed, R, K, Ns, omax,
+                                                           cmax, rsv, fallback):
+    rng = np.random.default_rng(seed)
+    dims = make_dims(R=R, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    checked_solve(random_channel(dims, rng), dims, make_radio(rsv=rsv), fallback)
+
+
+def degenerate_case(name):
+    """R=2, K=3, 2 users per slice, with one input made degenerate."""
+    dims = make_dims(R=2, K=3, Ns=2)
+    base = stable_channel(dims, np.random.default_rng(3))
+    gain, sensing_gain = base.downlink_gain.copy(), base.sensing_gain_sq.copy()
+    if name == "zero sensing gain":
+        sensing_gain[:, 1] = 0.0
+    elif name == "all sensing gains zero":
+        sensing_gain[:] = 0.0
+    elif name == "user with zero gains":
+        gain[:, :, 0] = 0.0
+    elif name == "bbu_user_cap=0":
+        dims = dataclasses.replace(dims, bbu_user_cap=0)
+    elif name == "zero fronthaul row":
+        cap = dims.fronthaul_cap.copy()
+        cap[0] = 0
+        dims = dataclasses.replace(dims, fronthaul_cap=cap)
+    return dims, ChannelState(downlink_gain=gain, sensing_gain_sq=sensing_gain)
+
+
+@pytest.mark.parametrize("name", ["zero sensing gain", "all sensing gains zero"])
+def test_undetectable_subcarrier_ends_unconverged_on_c1(name):
+    # A sub-carrier with no sensing gain detects with probability pfa only,
+    # so C1 stays 0.9 - 0.2 short and every step 1 falls back.
+    dims, channel = degenerate_case(name)
+    report = checked_solve(channel, dims, make_radio())
+    assert not report.converged
+    assert report.constraint_residuals["C1"] == pytest.approx(0.7)
+    steps = [step for _, step, _ in report.step_fallbacks]
+    assert steps == ["step1"] * report.iterations
+
+
+@pytest.mark.parametrize("name", ["user with zero gains", "bbu_user_cap=0",
+                                  "zero fronthaul row"])
+def test_degenerate_capacity_or_gain_still_converges_feasibly(name):
+    dims, channel = degenerate_case(name)
+    report = checked_solve(channel, dims, make_radio())
+    assert report.converged
+    assert max(report.constraint_residuals.values()) <= 1e-6
+
+
+def test_no_bbu_capacity_with_a_slice_floor_ends_unconverged_on_c10():
+    dims, channel = degenerate_case("bbu_user_cap=0")
+    report = checked_solve(channel, dims, make_radio(rsv=0.1))
+    assert not report.converged
+    assert report.constraint_residuals["C10"] == pytest.approx(0.1)
+    assert checked_solve(channel, dims, make_radio(rsv=0.1), "abort") is None

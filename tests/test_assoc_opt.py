@@ -535,3 +535,120 @@ def test_negative_or_nan_rate_is_rejected(monkeypatch, bad):
     with pytest.raises(ValueError, match="non-negative"):
         solve_association(np.full((2, 2), 0.02), np.zeros((2, 2, dims.num_users)),
                           None, dims, make_sensing(), make_radio())
+
+
+def solve_on_table(rates, dims, rsv, warm, node_limit=1):
+    """solve_association on a given rate table, as traced_solve patches it."""
+    R, K, N = rates.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assoc_opt, "rate_table", lambda *args: rates)
+        return solve_association(np.full((R, K), 0.02), np.zeros((R, K, N)), None,
+                                 dims, make_sensing(), make_radio(rsv=rsv),
+                                 node_limit=node_limit, warm_start=warm)
+
+
+def is_feasible_leaf(beta, rates, dims, rsv):
+    """C5, one RRH per served user, a BBU choice meeting C3/C7, and C10."""
+    if (beta.sum(axis=2) > 1).any():
+        return False
+    assigned = {}
+    for r, k, n in zip(*np.nonzero(beta)):
+        if assigned.setdefault(int(n), int(r)) != r:
+            return False
+    per_slice = np.zeros(dims.num_slices)
+    for r, k, n in zip(*np.nonzero(beta)):
+        per_slice[dims.user_slice[n]] += rates[r, k, n]
+    return bbu_feasible_brute(assigned, dims) and bool((per_slice >= rsv - 1e-9).all())
+
+
+def two_rrh_leaf():
+    """A feasible leaf on 2 RRHs x 2 sub-carriers: RRH r serves users 2r and
+    2r + 1, one per sub-carrier; its rate 0.5 is below every other cell's."""
+    dims = tiny_dims(omax=2, cmax=1)
+    beta = np.zeros((2, 2, dims.num_users), dtype=int)
+    for r, k in product(range(2), repeat=2):
+        beta[r, k, 2 * r + k] = 1
+    rates = np.where(beta == 1, 0.5, 1.0)
+    x = np.zeros((dims.num_users, 2), dtype=int)
+    x[np.arange(4), np.arange(4) // 2] = 1
+    f = np.zeros((dims.num_users, 2), dtype=int)
+    f[:, 0] = 1  # four users on BBU 0, past bbu_user_cap = 2
+    warm = Allocation(sensing_time=np.full((2, 2), 0.02), power=np.zeros(beta.shape),
+                      uav=beta, rrh_assoc=x, bbu_assoc=f)
+    return dims, rates, warm
+
+
+def test_feasible_leaf_seeds_despite_its_own_bbu_assignment():
+    # Only beta is read: its per-RRH counts (2, 2) are servable with one
+    # user per (RRH, BBU) link, whatever the warm start's f says.
+    dims, rates, warm = two_rrh_leaf()
+    res = solve_on_table(rates, dims, 0.0, warm)
+    assert not res.proven_optimal
+    assert np.array_equal(res.uav, warm.uav)
+    assert res.objective == 2.0
+    assert np.array_equal(res.rrh_assoc, warm.rrh_assoc)
+    assert (res.bbu_assoc.sum(axis=0) <= dims.bbu_user_cap).all()
+    assert (np.einsum("nb,nr->rb", res.bbu_assoc, res.rrh_assoc)
+            <= dims.fronthaul_cap).all()
+    assert np.array_equal(res.bbu_assoc.sum(axis=1), np.ones(dims.num_users))
+
+
+def test_rejected_leaf_leaves_a_truncated_search_without_incumbent():
+    dims, rates, warm = two_rrh_leaf()
+    warm.uav[0, 0, 1] = 1  # a second user on slot (0, 0): C5
+    with pytest.raises(SearchTruncatedError):
+        solve_on_table(rates, dims, 0.0, warm)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 3, 4), (1, 2, 2, 4)])
+def test_misshaped_warm_start_is_an_error(shape):
+    dims, rates, warm = two_rrh_leaf()
+    warm.uav = np.zeros(shape, dtype=int)
+    with pytest.raises(ValueError, match="uav"):
+        solve_on_table(rates, dims, 0.0, warm)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 3),
+       Ns=st.integers(1, 2), omax=st.integers(1, 4), cmax=st.integers(1, 3),
+       change=st.sampled_from([None, "shared slot", "second RRH", "over cap",
+                               "floor"]),
+       drop_x_f=st.booleans())
+def test_warm_start_seeds_exactly_the_feasible_leaves(seed, R, K, Ns, omax, cmax,
+                                                      change, drop_x_f):
+    # With node_limit=1 the search reaches no leaf of its own, so an answer
+    # is the seed's leaf and a rejected seed leaves no incumbent.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=2, R=R, B=2, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    N = dims.num_users
+    rates = rng.uniform(0.0, 1.0, size=(R, K, N))
+    warm = random_alloc(dims, rng)
+    beta = warm.uav
+    rsv = 0.0
+    served = np.flatnonzero(beta.any(axis=(0, 1)))
+    if change == "shared slot":
+        r, k = rng.integers(R), rng.integers(K)
+        beta[r, k, rng.choice(np.flatnonzero(beta[r, k] == 0))] = 1
+    elif change == "second RRH" and R > 1 and served.size:
+        n = rng.choice(served)
+        r = rng.choice(np.flatnonzero(~beta[:, :, n].any(axis=1)))
+        k = rng.integers(K)
+        beta[r, k] = 0
+        beta[r, k, n] = 1
+    elif change == "over cap" and served.size:
+        dims = make_dims(S=2, R=R, B=2, K=K, Ns=Ns, omax=(served.size - 1) // 2,
+                         cmax=cmax)
+    elif change == "floor":
+        per_slice = [sum(rates[r, k, n] for r, k, n in zip(*np.nonzero(beta))
+                         if dims.user_slice[n] == s) for s in range(2)]
+        rsv = min(per_slice) + 2e-9
+    if drop_x_f:
+        warm.rrh_assoc = np.zeros_like(warm.rrh_assoc)
+        warm.bbu_assoc = np.zeros_like(warm.bbu_assoc)
+    if is_feasible_leaf(beta, rates, dims, rsv):
+        res = solve_on_table(rates, dims, rsv, warm)
+        assert np.array_equal(res.uav, beta)
+        assert res.objective == pytest.approx(float((beta * rates).sum()), rel=1e-12)
+    else:
+        with pytest.raises(InfeasibleError):
+            solve_on_table(rates, dims, rsv, warm)
