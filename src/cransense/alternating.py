@@ -54,11 +54,6 @@ def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.nd
     accepts it. Unattainable entries (no sensing gain, or clamped at T) keep
     the closed form.
     """
-    return _thresholds_and_met(channel, sensing)[0]
-
-
-def _thresholds_and_met(channel: ChannelState, sensing: SensingParams):
-    """minimal_feasible_tau and the mask of sub-carriers whose target it meets."""
     g = channel.sensing_gain_sq
     floor, lmax = sensing_opt.lambda_box(sensing)
     b = detection_threshold(sensing, g)
@@ -74,10 +69,7 @@ def _thresholds_and_met(channel: ChannelState, sensing: SensingParams):
         if not short.any():
             break
         tau[:, short] = np.nextafter(tau[:, short], np.inf)
-    else:  # the last step moved tau past the last check
-        pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g,
-                                   sensing.target_pfa)
-    return tau, pd >= sensing.target_pd
+    return tau
 
 
 def default_initialization(channel: ChannelState, dims: NetworkDims,
@@ -90,13 +82,6 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
     best-gain assigned user; power is spread uniformly over each RRH's
     active cells; tau starts at the minimal detection-feasible point.
     """
-    return _initialization_and_met(channel, dims, sensing, radio,
-                                   user_positions, rrh_coords)[0]
-
-
-def _initialization_and_met(channel, dims, sensing, radio, user_positions=None,
-                            rrh_coords=None):
-    """default_initialization and the mask of sub-carriers whose target its tau meets."""
     R, K, N, B = dims.num_rrhs, dims.num_subcarriers, dims.num_users, dims.num_bbus
 
     if user_positions is not None and rrh_coords is not None:
@@ -154,9 +139,8 @@ def _initialization_and_met(channel, dims, sensing, radio, user_positions=None,
         if cnt:
             power[r][active] = pmax[r] / cnt
 
-    tau, met = _thresholds_and_met(channel, sensing)
-    return Allocation(sensing_time=tau, power=power, uav=beta,
-                      rrh_assoc=x, bbu_assoc=f, linkage=None), met
+    return Allocation(sensing_time=minimal_feasible_tau(channel, sensing), power=power,
+                      uav=beta, rrh_assoc=x, bbu_assoc=f, linkage=None)
 
 
 def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -199,10 +201,23 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list[str]):
                                                       sort_keys=True) + "\n")
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value) -> bool:
+    return _is_number(value) and float(value).is_integer() and value >= 1
+
+
 def _sweep_grid(cfg, command, spec):
-    """Default grids when the config does not pin one."""
+    """The config's grid, or the command's default when the config pins none."""
     explicit = cfg["sweep"]["grid"]
     if explicit is not None:
+        if (not isinstance(explicit, list) or not explicit
+                or not all(map(_is_number, explicit)) or explicit != sorted(explicit)):
+            raise ConfigError("sweep.grid must be a non-empty, sorted list of "
+                              f"numbers, got {explicit!r}")
         return list(explicit)
     T = spec.sensing.frame_len
     return {
@@ -211,8 +226,27 @@ def _sweep_grid(cfg, command, spec):
         "sweep-pfa": [0.1, 0.2, 0.3],
         "sweep-users": [4, 8, 12],
         "sweep-rrhs": [2, 4, 6],
-        "interruption": list(np.linspace(0.01, T, 20)),
+        "interruption": list(np.linspace(T / 20, T, 20)),
     }[command]
+
+
+def _check_sweep(command: str, grid: list, trials, spec: ScenarioSpec):
+    """Reject a trial count or grid value the command cannot run."""
+    if not _is_count(trials):
+        raise ConfigError(f"sweep.trials_per_point must be a whole number >= 1, "
+                          f"got {trials!r}")
+    T = spec.sensing.frame_len
+    for value in grid:
+        if command in ("sweep-tau", "interruption") and not 0.0 < value <= T:
+            raise ConfigError(f"sweep.grid sensing time {value!r} s lies outside "
+                              f"(0, {T!r}] s, the frame")
+        if command in ("sweep-users", "sweep-rrhs") and not _is_count(value):
+            raise ConfigError(f"sweep.grid count {value!r} must be a whole number >= 1")
+        if command in ("sweep-pd", "sweep-pfa"):
+            try:
+                dataclasses.replace(spec.sensing, **{_SWEEP_PARAM[command]: value})
+            except ValueError as err:
+                raise ConfigError(f"sweep.grid value {value!r}: {err}") from err
 
 
 _SWEEP_PARAM = {"sweep-tau": "tau", "sweep-pd": "target_pd",
@@ -264,7 +298,9 @@ def run_command(command: str, cfg: dict, out_dir: Path, verbose: bool) -> list[s
         return run_solve(cfg, out_dir, verbose)
     spec = build_spec(cfg)
     grid = _sweep_grid(cfg, command, spec)
-    trials = int(cfg["sweep"]["trials_per_point"])
+    trials = cfg["sweep"]["trials_per_point"]
+    _check_sweep(command, grid, trials, spec)
+    trials = int(trials)
     # Per-item values that a command cannot carry over its grid.
     if command == "interruption" and np.unique(spec.sensing.target_pfa).size > 1:
         raise ConfigError("interruption needs one sensing.target_pfa for every "

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (LN2, ChannelState, InfeasibleError, NetworkDims,
-                    RadioParams, SensingParams, idle_coeff)
+from .model import (FEASIBILITY_TOL, LN2, ChannelState, InfeasibleError,
+                    NetworkDims, RadioParams, SensingParams, idle_coeff)
 
 # Share of the budget filled when it binds: keeps sum(p) <= pmax under any
 # summation order of the scattered (R, K, N) tensor.
@@ -172,7 +172,7 @@ def solve_power(beta, tau, p_init, channel: ChannelState, dims: NetworkDims,
     slots = _Slots(beta, tau, channel, dims, sensing, radio)
     p = project_power_budget(np.where(slots.beta, p_init, 0.0).sum(axis=2), slots.pmax)
     inter, obj, per_slice = slots.evaluate(p)
-    if np.any(per_slice < slots.rsv - 1e-6):
+    if np.any(per_slice < slots.rsv - FEASIBILITY_TOL):
         worst = int(np.argmax(slots.rsv - per_slice))
         raise InfeasibleError(
             f"initial power vector violates the reserved rate of slice {worst}",

@@ -20,11 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .alternating import (AltConfig, _initialization_and_met,
-                          default_initialization, solve_joint)
+from .alternating import AltConfig, default_initialization, solve_joint
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
-                    check_constraints, rate_table, total_approx_throughput)
+                    check_constraints, rate_table)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -120,26 +119,47 @@ def generate_instance(spec: ScenarioSpec, seed: Optional[int] = None):
     return ChannelState(downlink_gain=gains, sensing_gain_sq=sensing_gain_sq), positions
 
 
+def _fixed_tau_scores(taus: np.ndarray, channel: ChannelState, base: Allocation,
+                      sensing: SensingParams, radio: RadioParams):
+    """Throughput of base at each uniform sensing time in taus, values (M,),
+    and whether each sub-carrier meets target_pd there, met (M, K).
+
+    A sub-carrier that misses its target is interrupted: zero rate. It does
+    not interfere with the others, so one rate table of base scores every
+    tau. A cell without a user carries no power.
+    """
+    M = taus.size
+    # One uniform (R, K) sensing time per tau, stored tau-major: each slab
+    # then sums over RRHs in the order of a lone (R, K) call, so every
+    # detection probability keeps its bits.
+    stack = np.broadcast_to(taus[:, None, None], (M,) + base.sensing_time.shape).copy()
+    pd = detection_probability(stack.transpose(1, 0, 2), sensing.sampling_freq,
+                               sensing.hvwn_snr, channel.sensing_gain_sq[:, None, :],
+                               sensing.target_pfa)  # (M, K)
+    met = pd >= sensing.target_pd
+    power = base.power * (base.uav > 0)
+    cells = base.uav * met[:, None, :, None] * rate_table(stack, power, channel,
+                                                          sensing, radio)
+    return cells.reshape(M, -1).sum(axis=1), met
+
+
 def evaluate_fixed_tau_throughput(tau: float, channel: ChannelState,
                                   dims: NetworkDims, sensing: SensingParams,
                                   radio: RadioParams,
                                   base_alloc: Optional[Allocation] = None) -> float:
-    """Throughput of the greedy allocation at one uniform sensing time.
+    """Throughput of the greedy allocation (or base_alloc) at one uniform
+    sensing time tau in (0, T], else ValueError.
 
     Sub-carriers whose cooperative detection probability falls short of the
     target at this tau are interrupted: no transmission, zero rate.
     """
+    if not 0.0 < tau <= sensing.frame_len:
+        raise ValueError("tau must lie in (0, frame_len]")
     if base_alloc is None:
         base_alloc = default_initialization(channel, dims, sensing, radio)
-    tau_grid = np.full((dims.num_rrhs, dims.num_subcarriers), tau)
-    pd = detection_probability(tau_grid, sensing.sampling_freq, sensing.hvwn_snr,
-                               channel.sensing_gain_sq, sensing.target_pfa)
-    feasible_k = np.atleast_1d(pd) >= sensing.target_pd
-    alloc = base_alloc.copy()
-    alloc.sensing_time = tau_grid
-    alloc.uav = alloc.uav * feasible_k[None, :, None]
-    alloc.power = alloc.power * (alloc.uav > 0)
-    return total_approx_throughput(alloc, channel, sensing, radio)
+    values, _ = _fixed_tau_scores(np.array([tau], dtype=float), channel, base_alloc,
+                                  sensing, radio)
+    return float(values[0])
 
 
 def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
@@ -148,32 +168,24 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
 
     The fixed-tau throughput is (T - tau)/T times the rate of the sub-carriers
     whose detection target holds, so it falls between the thresholds and
-    jumps up at each; ties go to the smallest tau. Sub-carriers do not
-    interfere with one another, so switching one off leaves every other
-    SINR as it was: one rate table of the greedy allocation scores every
-    threshold, each score equal to evaluate_fixed_tau_throughput there.
-    Raises InfeasibleError (C1) when no sub-carrier can meet its detection
-    target within the frame.
+    jumps up at each; ties go to the smallest tau. Every distinct threshold
+    is scored at once, each score equal to evaluate_fixed_tau_throughput
+    there; a threshold competes only if its own sub-carrier meets the target
+    at it. Raises InfeasibleError (C1) when no sub-carrier can meet its
+    detection target within the frame.
     """
-    base, met = _initialization_and_met(channel, dims, sensing, radio)
-    tau = base.sensing_time  # minimal_feasible_tau: the thresholds
-    if not met.any():
+    base = default_initialization(channel, dims, sensing, radio)
+    thresholds = base.sensing_time[0]  # minimal_feasible_tau, uniform over RRHs
+    candidates, owner = np.unique(thresholds, return_inverse=True)
+    values, met = _fixed_tau_scores(candidates, channel, base, sensing, radio)
+    own = met[owner, np.arange(thresholds.size)]
+    if not own.any():
         raise InfeasibleError(
             "no sub-carrier can meet the detection target within the frame",
-            detail={"constraint": "C1", "subcarriers": list(range(met.size))})
-    candidates = np.unique(tau[0, met])
-    M = candidates.size
-    # One uniform (R, K) sensing time per candidate, stored candidate-major:
-    # each candidate's slab then sums over RRHs in the order of a lone
-    # (R, K) call, so every detection probability keeps its bits.
-    stack = np.broadcast_to(candidates[:, None, None], (M,) + tau.shape).copy()
-    pd = detection_probability(stack.transpose(1, 0, 2), sensing.sampling_freq,
-                               sensing.hvwn_snr, channel.sensing_gain_sq[:, None, :],
-                               sensing.target_pfa)  # (M, K)
-    on = base.uav * (pd >= sensing.target_pd)[:, None, :, None]
-    cells = on * rate_table(stack, base.power, channel, sensing, radio)
-    values = cells.reshape(M, -1).sum(axis=1)
-    return float(candidates[int(np.argmax(values))])
+            detail={"constraint": "C1", "subcarriers": list(range(own.size))})
+    competes = np.zeros(candidates.size, dtype=bool)
+    competes[owner[own]] = True
+    return float(candidates[int(np.argmax(np.where(competes, values, -np.inf)))])
 
 
 def _with_dims(spec: ScenarioSpec, **dim_updates) -> ScenarioSpec:

@@ -7,6 +7,7 @@ quantities broadcast naturally.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,14 +55,11 @@ def detection_threshold(params: SensingParams, sensing_gain_sq) -> np.ndarray:
     """Threshold b_k = (Q^-1(pfa_k) - alpha_k * Q^-1(pd)) / gamma_p, shape (K,).
 
     With lambda = sqrt(tau * nu), the detection target on sub-carrier k
-    holds exactly when sum_r lambda[r, k] * |h^HU_rk|^2 >= b_k.
+    holds exactly when sum_r lambda[r, k] * |h^HU_rk|^2 >= b_k. The RRH axis
+    of sensing_gain_sq leads; b has its trailing shape.
     """
-    return _threshold(params, params.target_pfa, np.asarray(sensing_gain_sq, dtype=float))
-
-
-def _threshold(params: SensingParams, target_pfa, g: np.ndarray):
-    """detection_threshold at a given target_pfa, over g's trailing axes."""
-    return ((q_inv(target_pfa) - alpha(params.hvwn_snr, g) * q_inv(params.target_pd))
+    g = np.asarray(sensing_gain_sq, dtype=float)
+    return ((q_inv(params.target_pfa) - alpha(params.hvwn_snr, g) * q_inv(params.target_pd))
             / params.hvwn_snr)
 
 
@@ -115,6 +113,6 @@ def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
     # Q is strictly decreasing, so pd < target_pd exactly when the trial's
     # sensing statistic falls below the detection threshold b.
     g = gains.T
-    b = _threshold(params, float(pfa[0]), g)
+    b = detection_threshold(dataclasses.replace(params, target_pfa=float(pfa[0])), g)
     statistic = math.sqrt(tau * params.sampling_freq) * g.sum(axis=0)
     return float(np.mean(statistic < b))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dims, make_radio, make_sensing, random_channel
-from cransense import alternating
 from cransense.alternating import (AltConfig, default_initialization,
                                    minimal_feasible_tau, solve_joint)
 from cransense.cli import build_spec, load_config
@@ -73,24 +72,6 @@ def test_minimal_feasible_tau_meets_target_exactly(target_pd):
         assert np.all(tau == tau[0])
         assert np.all(np.abs(tau[0] / closed - 1.0) <= 1e-14)
 
-
-
-@pytest.mark.parametrize("steps", [0, 1, 32])
-def test_threshold_mask_is_the_detection_check(monkeypatch, steps):
-    # The mask comes from the step loop's last check of the returned tau, or
-    # from a fresh check when the loop ran out of steps after moving it.
-    monkeypatch.setattr(alternating, "_MAX_TAU_STEPS", steps)
-    dims = make_dims(R=3, K=8)
-    rng = np.random.default_rng(7)
-    for target_pd in (0.5, 0.9, 0.99):
-        sensing = make_sensing(pd=target_pd, T=0.01)  # some entries clamp at T
-        for _ in range(10):
-            channel = random_channel(dims, rng)
-            tau, met = alternating._thresholds_and_met(channel, sensing)
-            pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
-                                       channel.sensing_gain_sq, sensing.target_pfa)
-            assert np.array_equal(met, pd >= target_pd)
-            assert np.array_equal(tau, minimal_feasible_tau(channel, sensing))
 
 def test_default_initialization_is_feasible(rng):
     dims = make_dims()

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cransense.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
@@ -230,3 +231,49 @@ def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
     assert "fronthaul_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,sweep,argv", [
+    ("sweep-pfa", {}, ["--trials", "0"]),
+    ("interruption", {}, ["--trials", "0"]),
+    ("sweep-pfa", {"trials_per_point": 1.5}, []),
+    ("sweep-tau", {"grid": []}, []),
+    ("sweep-tau", {"grid": [0.1, 0.05]}, []),
+    ("sweep-tau", {"grid": 0.05}, []),
+    ("sweep-pfa", {"grid": ["0.1"]}, []),
+    ("sweep-pd", {"grid": [0.9, 1.0]}, []),
+    ("sweep-pd", {"grid": [0.1, 0.9]}, []),       # not above target_pfa = 0.2
+    ("sweep-pfa", {"grid": [0.1, 0.95]}, []),     # not below target_pd = 0.9
+    ("sweep-users", {"grid": [0, 1]}, []),
+    ("sweep-users", {"grid": [2.5]}, []),
+    ("sweep-rrhs", {"grid": [0, 2]}, []),
+    ("sweep-rrhs", {"grid": [1.5, 2]}, []),
+    ("sweep-tau", {"grid": [0.5]}, []),           # beyond T = 200 ms
+    ("sweep-tau", {"grid": [0.0, 0.1]}, []),
+    ("interruption", {"grid": [0.1, 0.5]}, []),
+    ("interruption", {"grid": [-0.1, 0.1]}, []),
+])
+def test_bad_sweep_section_exits_3(tmp_path, capsys, command, sweep, argv):
+    doc = dict(SMALL)
+    doc["sweep"] = dict(SMALL["sweep"], **sweep)
+    out = tmp_path / "run"
+    code = main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)] + argv)
+    assert code == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_default_interruption_grid_spans_the_frame(tmp_path):
+    # The default grid is linspace(T/20, T, 20): at the default T = 200 ms it
+    # is the former linspace(10 ms, T, 20), and a shorter frame still runs.
+    for frame_ms, first in ((200.0, 0.01), (5.0, 5e-3 / 20)):
+        doc = dict(SMALL)
+        doc["sensing"] = {"frame_len_ms": frame_ms}
+        out = tmp_path / f"run{frame_ms}"
+        assert main(["interruption", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        lines = (out / "interruption.csv").read_text().splitlines()[1:]
+        T = frame_ms * 1e-3
+        assert [float(line.split(",")[0]) for line in lines] == \
+            [t * 1e3 for t in np.linspace(first, T, 20)]

@@ -1,16 +1,19 @@
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dims, make_radio, make_sensing, random_channel
-from cransense import scenario
+from conftest import (make_dims, make_radio, make_sensing, random_alloc,
+                      random_channel)
+from cransense import alternating, scenario
 from cransense.alternating import default_initialization, solve_joint
 from cransense.cli import build_alt_config, build_spec, load_config
-from cransense.model import ChannelState, InfeasibleError
+from cransense.model import (ChannelState, InfeasibleError,
+                             total_approx_throughput)
 from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
                                 evaluate_fixed_tau_throughput,
                                 generate_instance, optimal_sensing_time,
@@ -174,9 +177,26 @@ def test_optimal_sensing_time_matches_dense_grid(case):
     assert best >= probes - 1e-12 * abs(probes)
 
 
+def fixed_tau_reference(tau, channel, dims, sensing, radio, base_alloc=None):
+    """Reference: the fixed-tau throughput by copying the allocation, masking
+    the sub-carriers that miss target_pd at tau, zeroing the power of every
+    cell without a user, and scoring the result with total_approx_throughput."""
+    if base_alloc is None:
+        base_alloc = default_initialization(channel, dims, sensing, radio)
+    tau_grid = np.full((dims.num_rrhs, dims.num_subcarriers), tau)
+    pd = detection_probability(tau_grid, sensing.sampling_freq, sensing.hvwn_snr,
+                               channel.sensing_gain_sq, sensing.target_pfa)
+    feasible_k = np.atleast_1d(pd) >= sensing.target_pd
+    alloc = base_alloc.copy()
+    alloc.sensing_time = tau_grid
+    alloc.uav = alloc.uav * feasible_k[None, :, None]
+    alloc.power = alloc.power * (alloc.uav > 0)
+    return total_approx_throughput(alloc, channel, sensing, radio)
+
+
 def threshold_argmax(channel, dims, sensing, radio):
-    """Reference: evaluate_fixed_tau_throughput at every distinct threshold
-    that meets the detection target, first maximum (the smallest tau) wins."""
+    """Reference: the fixed-tau throughput at every distinct threshold that
+    meets the detection target, first maximum (the smallest tau) wins."""
     base = default_initialization(channel, dims, sensing, radio)
     tau = base.sensing_time
     pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr,
@@ -184,9 +204,52 @@ def threshold_argmax(channel, dims, sensing, radio):
     candidates = np.unique(tau[0, pd >= sensing.target_pd])
     if candidates.size == 0:
         return None
-    values = [evaluate_fixed_tau_throughput(t, channel, dims, sensing, radio, base)
+    values = [fixed_tau_reference(t, channel, dims, sensing, radio, base)
               for t in candidates]
     return float(candidates[int(np.argmax(values))])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 9), K=st.integers(1, 5),
+       Ns=st.integers(1, 3), per_k_pfa=st.booleans(), deaf=st.booleans(),
+       given_base=st.booleans(),
+       where=st.sampled_from(["threshold", "midpoint", "frame", "tiny", "uniform"]))
+def test_fixed_tau_throughput_is_the_reference(seed, R, K, Ns, per_k_pfa, deaf,
+                                               given_base, where):
+    # given_base: a random allocation whose unassigned cells carry power too,
+    # which the fixed-tau throughput must zero before it scores the cells.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(R=R, B=2, K=K, Ns=Ns, omax=2 * Ns, cmax=2 * Ns)
+    sensing = make_sensing(pfa=rng.uniform(0.05, 0.4, K) if per_k_pfa else 0.2)
+    radio = make_radio()
+    drawn = random_channel(dims, rng)
+    g = drawn.sensing_gain_sq.copy()
+    if deaf:
+        g[:, 0] = 0.0
+    channel = ChannelState(downlink_gain=drawn.downlink_gain, sensing_gain_sq=g)
+    base = None
+    if given_base:
+        base = random_alloc(dims, rng)
+        base.power = rng.uniform(0.0, 0.1, size=base.power.shape)
+    T = sensing.frame_len
+    thresholds = alternating.minimal_feasible_tau(channel, sensing)[0]
+    points = np.unique(np.append(thresholds[thresholds <= T], T))
+    i = rng.integers(points.size)
+    tau = {"threshold": points[i],
+           "midpoint": 0.5 * (points[i - 1] + points[i]) if i else 0.5 * points[0],
+           "frame": T, "tiny": 1e-12 * T, "uniform": rng.uniform(0.0, T) or T}[where]
+    assert (evaluate_fixed_tau_throughput(tau, channel, dims, sensing, radio, base)
+            == fixed_tau_reference(tau, channel, dims, sensing, radio, base))
+
+
+def test_fixed_tau_throughput_rejects_tau_outside_the_frame():
+    spec = small_spec(seed=2)
+    channel, _ = generate_instance(spec)
+    T = spec.sensing.frame_len
+    for tau in (0.0, -T, np.nextafter(T, np.inf), 2.5 * T):
+        with pytest.raises(ValueError, match="frame_len"):
+            evaluate_fixed_tau_throughput(tau, channel, spec.dims, spec.sensing,
+                                          spec.radio)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -216,6 +279,28 @@ def test_optimal_sensing_time_is_the_threshold_argmax(seed, R, K, Ns, per_k_pfa,
             optimal_sensing_time(channel, dims, sensing, radio)
     else:
         assert optimal_sensing_time(channel, dims, sensing, radio) == expected
+
+
+@pytest.mark.parametrize("steps", [0, 1, 32])
+def test_threshold_mask_is_the_detection_check(monkeypatch, steps):
+    # With too few steps some thresholds stay an ulp short of target_pd, and
+    # with T = 10 ms some clamp at the frame: only thresholds that meet their
+    # own sub-carrier's target at the returned tau may compete. Without users
+    # (omax=0) every score is 0 and the smallest competing threshold wins.
+    monkeypatch.setattr(alternating, "_MAX_TAU_STEPS", steps)
+    radio = make_radio()
+    rng = np.random.default_rng(7)
+    for target_pd, omax in itertools.product((0.5, 0.9, 0.99), (3, 0)):
+        dims = make_dims(R=3, K=8, omax=omax)
+        sensing = make_sensing(pd=target_pd, T=0.01)
+        for _ in range(10):
+            channel = random_channel(dims, rng)
+            expected = threshold_argmax(channel, dims, sensing, radio)
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    optimal_sensing_time(channel, dims, sensing, radio)
+            else:
+                assert optimal_sensing_time(channel, dims, sensing, radio) == expected
 
 
 def test_optimal_sensing_time_raises_when_detection_is_unattainable():
