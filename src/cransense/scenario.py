@@ -10,17 +10,30 @@ nested: growing the user count or the RRH count keeps every existing draw
 unchanged and only adds new ones. Together with reusing the same per-trial
 seeds across grid points (common random numbers), this keeps sweep trends
 from being noise-dominated.
+
+Each stream is default_rng(SeedSequence(key)) with the key (seed, 1, s, i)
+for user (s, i)'s position, (seed, 2, s, i, r) for its fading from RRH r and
+(seed, 3, r) for RRH r's sensing gains. generate_instance derives all of an
+instance's keys in one vectorised pass of SeedSequence's hash instead of one
+SeedSequence object per key. The bits are the same only because NEP 19 fixes
+the SeedSequence and PCG64 algorithms; tests/test_scenario.py compares the
+pass against numpy's own SeedSequence, so a numpy that changed them fails
+there.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .alternating import AltConfig, default_initialization, solve_joint
+from .alternating import (AltConfig, default_initialization,
+                          minimal_feasible_tau, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     check_constraints, rate_table)
@@ -71,6 +84,10 @@ class SweepSpec:
             raise ValueError("grid must be non-empty and sorted")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.swept_parameter in ("num_users", "num_rrhs") and not all(
+                float(v).is_integer() and v >= 1 for v in grid):
+            raise ValueError(f"{self.swept_parameter} grid values must be whole "
+                             f"numbers >= 1, got {grid}")
         object.__setattr__(self, "grid", grid)
 
 
@@ -82,40 +99,151 @@ def default_rrh_coords(num_rrhs: int, area_side: float) -> np.ndarray:
     return np.asarray(coords[:num_rrhs], dtype=float)
 
 
+# SeedSequence's hash (numpy.random.bit_generator): a pool of 4 uint32 words,
+# mixed by hash calls whose constants advance by a fixed multiplier per call.
+_POOL_SIZE = 4
+_MIX_HASH = (0x43b0d7e5, 0x931e8875)    # mix_entropy's initial constant, multiplier
+_STATE_HASH = (0x8b51f9dd, 0x58f38ded)  # generate_state's
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The constant of each of the first count hash calls, read-only."""
+    out, h = [], init
+    for _ in range(count):
+        out.append(h)
+        h = h * mult & 0xFFFFFFFF
+    arr = np.array(out, dtype=np.uint32)
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.cache
+def _generator_builder():
+    """A function from one row of _keyed_generators' state words to the
+    Generator that default_rng builds from the SeedSequence behind them.
+
+    PCG64 asks its seed sequence for generate_state(4, uint64) once, when
+    it is built; _StateWords hands over the finished words instead. Made on
+    first use, so importing cransense does not load numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(_StateWords(words)))
+
+
+def _keyed_generators(*blocks: np.ndarray) -> list[list[np.random.Generator]]:
+    """default_rng(SeedSequence(row)) for every row of each (M, L) uint32
+    block of entropy words, one list of generators per block.
+
+    Runs SeedSequence's mix_entropy and generate_state(4, uint64) for all
+    rows of all blocks at once, across rows and pool lanes. Only the order
+    of each row's hash calls fixes their constants, so rows of every length
+    share one table: a row shorter than the pool reads zeros past its end,
+    as SeedSequence does, and a longer one mixes its extra words in one
+    column at a time.
+    """
+    sizes = [len(b) for b in blocks]
+    width = max(_POOL_SIZE, *(b.shape[1] for b in blocks))
+    entropy = np.zeros((sum(sizes), width), dtype=np.uint32)
+    lengths = np.repeat([b.shape[1] for b in blocks], sizes)
+    start = 0
+    for block in blocks:
+        entropy[start:start + len(block), :block.shape[1]] = block
+        start += len(block)
+    consts = _hash_constants(*_MIX_HASH, _POOL_SIZE * width + 1)
+
+    def hashmix(value, call, lanes):
+        # Calls call .. call + lanes - 1, one per lane.
+        value = (value ^ consts[call:call + lanes]) * consts[call + 1:call + lanes + 1]
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    pool = hashmix(entropy[:, :_POOL_SIZE], 0, _POOL_SIZE)
+    # Every lane mixes in the hash of every other lane, source by source.
+    for src in range(_POOL_SIZE):
+        dst = [lane for lane in range(_POOL_SIZE) if lane != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1],
+                                                 _POOL_SIZE + 3 * src, 3))
+    # Words past the pool size are mixed into every lane.
+    for col in range(_POOL_SIZE, width):
+        mixed = mix(pool, hashmix(entropy[:, col:col + 1], _POOL_SIZE * col, _POOL_SIZE))
+        pool = np.where((lengths > col)[:, None], mixed, pool)
+    state_consts = _hash_constants(*_STATE_HASH, 2 * _POOL_SIZE + 1)
+    state = (np.tile(pool, 2) ^ state_consts[:-1]) * state_consts[1:]
+    words = (state ^ (state >> 16)).astype("<u4").view("<u8").astype(np.uint64)
+    build = _generator_builder()
+    generators = [build(row) for row in words]
+    return [generators[end - size:end]
+            for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+def _seed_words(seed) -> np.ndarray:
+    """A seed split into uint32 words as SeedSequence splits an int:
+    least significant first, [0] for 0. A negative seed raises ValueError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+def _key_block(words: np.ndarray, tag: int, *fields: np.ndarray) -> np.ndarray:
+    """Entropy rows (words, tag, fields...), one per entry of the 1-D fields."""
+    block = np.empty((fields[0].size, words.size + 1 + len(fields)), dtype=np.uint32)
+    block[:, :words.size] = words
+    block[:, words.size] = tag
+    for col, field in enumerate(fields, start=words.size + 1):
+        block[:, col] = field
+    return block
+
+
 def generate_instance(spec: ScenarioSpec, seed: Optional[int] = None):
     """One channel realization plus user positions; bit-identical per seed.
 
     Draws are keyed per (slice, user index) and per RRH, so an instance with
     more users or more RRHs extends a smaller one instead of reshuffling it.
     """
-    base_seed = spec.seed if seed is None else seed
+    words = _seed_words(spec.seed if seed is None else seed)
     dims = spec.dims
     R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
-    S, Ns = dims.num_slices, dims.users_per_slice
+    slice_of, index_of = np.divmod(np.arange(N), dims.users_per_slice)  # user n = s * Ns + i
+    rrh = np.arange(R)
+    position_rngs, fading_rngs, sensing_rngs = _keyed_generators(
+        _key_block(words, 1, slice_of, index_of),
+        _key_block(words, 2, np.repeat(slice_of, R), np.repeat(index_of, R),
+                   np.tile(rrh, N)),  # row n * R + r
+        _key_block(words, 3, rrh))
 
-    positions = np.empty((N, 2))
-    gains = np.empty((R, K, N))
-    for s in range(S):
-        for i in range(Ns):
-            n = s * Ns + i
-            rng_u = np.random.default_rng(
-                np.random.SeedSequence((base_seed, 1, s, i)))
-            pos = rng_u.uniform(0.0, spec.area_side, size=2)
-            dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)  # (R,)
-            while dist.min() < _MIN_USER_RRH_DIST_KM:
-                pos = rng_u.uniform(0.0, spec.area_side, size=2)
-                dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)
-            positions[n] = pos
-            for r in range(R):
-                rng_f = np.random.default_rng(
-                    np.random.SeedSequence((base_seed, 2, s, i, r)))
-                psi = rng_f.exponential(spec.fading_mean, size=K)
-                gains[r, :, n] = psi * dist[r] ** (-spec.pathloss_exp)
+    positions = np.array([rng.uniform(0.0, spec.area_side, size=2)
+                          for rng in position_rngs])
+    dist = np.linalg.norm(spec.rrh_coords - positions[:, None, :], axis=2)  # (N, R)
+    for n in np.flatnonzero(dist.min(axis=1) < _MIN_USER_RRH_DIST_KM):
+        while dist[n].min() < _MIN_USER_RRH_DIST_KM:  # redraw on n's own stream
+            positions[n] = position_rngs[n].uniform(0.0, spec.area_side, size=2)
+            dist[n] = np.linalg.norm(spec.rrh_coords - positions[n], axis=1)
 
-    sensing_gain_sq = np.empty((R, K))
-    for r in range(R):
-        rng_s = np.random.default_rng(np.random.SeedSequence((base_seed, 3, r)))
-        sensing_gain_sq[r] = rng_s.exponential(1.0, size=K)
+    # Scalar pow: numpy's vectorised pow can differ in the last bit.
+    loss = np.array([d ** -spec.pathloss_exp for d in dist.ravel().tolist()])
+    psi = np.array([rng.exponential(spec.fading_mean, size=K) for rng in fading_rngs])
+    gains = np.ascontiguousarray((psi * loss[:, None]).reshape(N, R, K).transpose(1, 2, 0))
+    sensing_gain_sq = np.array([rng.exponential(1.0, size=K) for rng in sensing_rngs])
     return ChannelState(downlink_gain=gains, sensing_gain_sq=sensing_gain_sq), positions
 
 
@@ -163,21 +291,27 @@ def evaluate_fixed_tau_throughput(tau: float, channel: ChannelState,
 
 
 def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
-                         sensing: SensingParams, radio: RadioParams) -> float:
-    """Best uniform tau in (0, T]: the best per-sub-carrier detection threshold.
+                         sensing: SensingParams, radio: RadioParams,
+                         base_alloc: Optional[Allocation] = None) -> float:
+    """Best uniform tau in (0, T] for the greedy allocation (or base_alloc):
+    the best per-sub-carrier detection threshold.
 
     The fixed-tau throughput is (T - tau)/T times the rate of the sub-carriers
     whose detection target holds, so it falls between the thresholds and
     jumps up at each; ties go to the smallest tau. Every distinct threshold
     is scored at once, each score equal to evaluate_fixed_tau_throughput
     there; a threshold competes only if its own sub-carrier meets the target
-    at it. Raises InfeasibleError (C1) when no sub-carrier can meet its
-    detection target within the frame.
+    at it. The thresholds are minimal_feasible_tau(channel, sensing), which
+    base_alloc's own sensing times need not be. Raises InfeasibleError (C1)
+    when no sub-carrier can meet its detection target within the frame.
     """
-    base = default_initialization(channel, dims, sensing, radio)
-    thresholds = base.sensing_time[0]  # minimal_feasible_tau, uniform over RRHs
+    if base_alloc is None:
+        base_alloc = default_initialization(channel, dims, sensing, radio)
+        thresholds = base_alloc.sensing_time[0]  # minimal_feasible_tau
+    else:
+        thresholds = minimal_feasible_tau(channel, sensing)[0]  # uniform over RRHs
     candidates, owner = np.unique(thresholds, return_inverse=True)
-    values, met = _fixed_tau_scores(candidates, channel, base, sensing, radio)
+    values, met = _fixed_tau_scores(candidates, channel, base_alloc, sensing, radio)
     own = met[owner, np.arange(thresholds.size)]
     if not own.any():
         raise InfeasibleError(
@@ -255,19 +389,19 @@ def _pad_users(alloc: Allocation, old_ns: int, dims: NetworkDims) -> Allocation:
 
 def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
                  carry: dict, trial: int) -> float:
-    if param == "tau":
+    if param in ("tau", "target_pd", "target_pfa"):
+        # The swept value moves only tau, so the trial's instance and its
+        # greedy association and powers serve every grid point.
         if trial not in carry:
             channel, _ = generate_instance(base, seed=seed)
             carry[trial] = channel, default_initialization(
                 channel, base.dims, base.sensing, base.radio)
         channel, init = carry[trial]
-        return evaluate_fixed_tau_throughput(value, channel, base.dims,
-                                             base.sensing, base.radio, init)
-    if param in ("target_pd", "target_pfa"):
-        if trial not in carry:
-            carry[trial] = generate_instance(base, seed=seed)[0]
+        if param == "tau":
+            return evaluate_fixed_tau_throughput(value, channel, base.dims,
+                                                 base.sensing, base.radio, init)
         sensing = dataclasses.replace(base.sensing, **{param: value})
-        return optimal_sensing_time(carry[trial], base.dims, sensing, base.radio)
+        return optimal_sensing_time(channel, base.dims, sensing, base.radio, init)
     if param == "num_rrhs":
         spec = _with_dims(base, num_rrhs=int(value),
                           fronthaul_cap=np.broadcast_to(
@@ -328,12 +462,10 @@ def _sweep_row(param, value, mean, stderr, infeasible) -> dict:
 
 
 def run_interruption_sweep(spec: ScenarioSpec, tau_grid, num_trials: int) -> list[dict]:
-    """Interruption probability versus sensing time, common random numbers."""
-    rows = []
-    p = 0.0
-    for tau in tau_grid:
-        p = interruption_probability(tau, spec.sensing, spec.dims.num_rrhs,
-                                     num_trials, seed=spec.seed)
-        stderr = float(np.sqrt(max(p * (1.0 - p), 0.0) / num_trials))
-        rows.append({"tau_ms": tau * 1e3, "p_interrupt": p, "stderr": stderr})
-    return rows
+    """Interruption probability versus sensing time, common random numbers:
+    every tau is tested on the same draws."""
+    probs = interruption_probability(np.asarray(tau_grid, dtype=float), spec.sensing,
+                                     spec.dims.num_rrhs, num_trials, seed=spec.seed)
+    return [{"tau_ms": tau * 1e3, "p_interrupt": p,
+             "stderr": float(np.sqrt(max(p * (1.0 - p), 0.0) / num_trials))}
+            for tau, p in zip(tau_grid, probs.tolist())]

@@ -83,24 +83,27 @@ def min_samples_count(alpha_k: float, target_pfa: float, target_pd: float) -> in
     return int(math.ceil(min_samples(alpha_k, target_pfa, target_pd)))
 
 
-def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
+def interruption_probability(tau, params: SensingParams, num_rrhs: int,
                              num_trials: int, seed: int = 0,
-                             gain_sampler=None) -> float:
+                             gain_sampler=None) -> float | np.ndarray:
     """Monte-Carlo probability that targets cannot be met within tau.
 
     Each trial draws the sensing gains of one sub-carrier across all RRHs
     (|h^HU|^2 ~ Exp(1) by default, matching the unit-variance complex
     Gaussian coefficient) and applies a uniform tau at every RRH; the trial
     is an interruption when the cooperative detection probability falls
-    below target_pd. Deterministic given the seed. A trial does not say
-    which sub-carrier it draws, so a per-sub-carrier target_pfa must be
-    uniform; a non-uniform one raises ValueError.
+    below target_pd. Deterministic given the seed. tau is a scalar, giving
+    a float, or an array, giving one probability per entry, all from the
+    same draws. A trial does not say which sub-carrier it draws, so a
+    per-sub-carrier target_pfa must be uniform; a non-uniform one raises
+    ValueError.
     """
     pfa = np.unique(np.asarray(params.target_pfa, dtype=float))
     if pfa.size != 1:
         raise ValueError("interruption_probability needs one target_pfa for "
                          f"every sub-carrier, got {pfa.size} distinct values")
-    if not (0.0 < tau <= params.frame_len):
+    taus = np.asarray(tau, dtype=float)
+    if not np.all((0.0 < taus) & (taus <= params.frame_len)):
         raise ValueError("tau must lie in (0, frame_len]")
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
@@ -114,5 +117,9 @@ def interruption_probability(tau: float, params: SensingParams, num_rrhs: int,
     # sensing statistic falls below the detection threshold b.
     g = gains.T
     b = detection_threshold(dataclasses.replace(params, target_pfa=float(pfa[0])), g)
-    statistic = math.sqrt(tau * params.sampling_freq) * g.sum(axis=0)
-    return float(np.mean(statistic < b))
+    gsum = g.sum(axis=0)
+    # One tau at a time keeps the memory of a lone call.
+    probs = [np.mean(math.sqrt(t * params.sampling_freq) * gsum < b)
+             for t in taus.ravel().tolist()]
+    out = np.array(probs, dtype=float).reshape(taus.shape)
+    return float(out) if out.ndim == 0 else out

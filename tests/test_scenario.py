@@ -18,7 +18,7 @@ from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
                                 evaluate_fixed_tau_throughput,
                                 generate_instance, optimal_sensing_time,
                                 run_interruption_sweep, run_sweep)
-from cransense.sensing import detection_probability
+from cransense.sensing import detection_probability, interruption_probability
 
 
 def small_spec(seed=0, rsv=0.0, **dim_kwargs):
@@ -86,6 +86,10 @@ INSTANCE_DIGESTS = {
     ("default", 7): ("4d40b1713cc327a1272fd2c6e55e94044e543ec56e656ee8c093ae3c243069b7",
                      "398824fadf0a1413f599432bb7a038c3afbee69f2af8130d8fc4902c3a5a896e",
                      "077d0661fb59dff4f273f6b06d6f33452eb9e03cb5bcf6972a1322b2d9f9b223"),
+    # A seed of two uint32 words: every key is one word longer.
+    ("default", 2**40 + 3): ("3d8e29c04e47149101600972c3abed8d52fadf527baf9a3537ea6d5e91b3bcbe",
+                             "9f72f4faa5f8d04a1f27281480c87a2f1af6286a48abd845f7b9051c4d4c9c4c",
+                             "86fa21a5842adff4b01470d789117d811ef9366991db85713451fd7084f1cafc"),
 }
 
 
@@ -98,6 +102,95 @@ def test_instance_bits_are_pinned(size, seed):
                     for a in (channel.downlink_gain, channel.sensing_gain_sq,
                               positions))
     assert digests == INSTANCE_DIGESTS[size, seed]
+
+
+def reference_instance(spec, seed):
+    """Reference: generate_instance with one SeedSequence object per key."""
+    dims = spec.dims
+    R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
+    positions = np.empty((N, 2))
+    gains = np.empty((R, K, N))
+    for s in range(dims.num_slices):
+        for i in range(dims.users_per_slice):
+            n = s * dims.users_per_slice + i
+            rng_u = np.random.default_rng(np.random.SeedSequence((seed, 1, s, i)))
+            pos = rng_u.uniform(0.0, spec.area_side, size=2)
+            dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)
+            while dist.min() < scenario._MIN_USER_RRH_DIST_KM:
+                pos = rng_u.uniform(0.0, spec.area_side, size=2)
+                dist = np.linalg.norm(spec.rrh_coords - pos, axis=1)
+            positions[n] = pos
+            for r in range(R):
+                rng_f = np.random.default_rng(np.random.SeedSequence((seed, 2, s, i, r)))
+                psi = rng_f.exponential(spec.fading_mean, size=K)
+                gains[r, :, n] = psi * dist[r] ** (-spec.pathloss_exp)
+    sensing_gain_sq = np.empty((R, K))
+    for r in range(R):
+        rng_s = np.random.default_rng(np.random.SeedSequence((seed, 3, r)))
+        sensing_gain_sq[r] = rng_s.exponential(1.0, size=K)
+    return ChannelState(downlink_gain=gains, sensing_gain_sq=sensing_gain_sq), positions
+
+
+# 5 m squares: users often land within 1 m of an RRH and are redrawn.
+TINY_AREA_KM = 0.005
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64), R=st.integers(1, 9), K=st.integers(1, 5),
+       Ns=st.integers(1, 4), area_side=st.sampled_from([TINY_AREA_KM, 2.0]),
+       pathloss_exp=st.sampled_from([2.0, 3.0, 3.7]))
+def test_instance_is_the_per_key_reference(seed, R, K, Ns, area_side, pathloss_exp):
+    spec = ScenarioSpec(dims=make_dims(R=R, K=K, Ns=Ns), sensing=make_sensing(),
+                        radio=make_radio(), area_side=area_side,
+                        pathloss_exp=pathloss_exp)
+    channel, positions = generate_instance(spec, seed=seed)
+    ref_channel, ref_positions = reference_instance(spec, seed)
+    assert channel.downlink_gain.tobytes() == ref_channel.downlink_gain.tobytes()
+    assert channel.sensing_gain_sq.tobytes() == ref_channel.sensing_gain_sq.tobytes()
+    assert positions.tobytes() == ref_positions.tobytes()
+
+
+def test_rejected_positions_are_redrawn_from_the_users_own_stream():
+    spec = ScenarioSpec(dims=make_dims(R=4, K=2, Ns=6), sensing=make_sensing(),
+                        radio=make_radio(), area_side=TINY_AREA_KM)
+    _, positions = generate_instance(spec, seed=5)
+    first = np.array([np.random.default_rng(np.random.SeedSequence((5, 1, s, i)))
+                      .uniform(0.0, TINY_AREA_KM, size=2)
+                      for s in range(2) for i in range(6)])
+    redrawn = np.any(positions != first, axis=1)
+    assert 0 < redrawn.sum() < len(first)
+    dist = np.linalg.norm(positions[:, None, :] - spec.rrh_coords[None], axis=2)
+    assert dist.min() >= scenario._MIN_USER_RRH_DIST_KM
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        generate_instance(small_spec(), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5])
+def test_seed_words_are_seed_sequences_split(seed):
+    words = scenario._seed_words(seed)
+    assert words.dtype == np.uint32
+    assert np.array_equal(np.random.SeedSequence(words).pool,
+                          np.random.SeedSequence(seed).pool)
+
+
+def test_keyed_generators_are_seed_sequence_generators():
+    # Rows of lengths 3-6 in one pass: shorter than the pool, equal to it,
+    # and longer, with small and full-width words.
+    rng = np.random.default_rng(11)
+    blocks = [rng.integers(0, 2**32, size=(m, length), dtype=np.uint64).astype(np.uint32)
+              for m, length in ((5, 3), (4, 4), (6, 5), (3, 6))]
+    blocks[0][:2] = rng.integers(0, 4, size=(2, 3))
+    generators = scenario._keyed_generators(*blocks)
+    assert [len(g) for g in generators] == [5, 4, 6, 3]
+    for block, gens in zip(blocks, generators):
+        for row, gen in zip(block, gens):
+            ref = np.random.default_rng(np.random.SeedSequence(row.tolist()))
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(gen.exponential(1.0, size=3),
+                                  ref.exponential(1.0, size=3))
 
 
 def test_channel_statistics_match_declared_distributions():
@@ -274,11 +367,16 @@ def test_optimal_sensing_time_is_the_threshold_argmax(seed, R, K, Ns, per_k_pfa,
         g[:, -1] *= 1e-4
     channel = ChannelState(downlink_gain=drawn.downlink_gain, sensing_gain_sq=g)
     expected = threshold_argmax(channel, dims, sensing, radio)
-    if expected is None:
-        with pytest.raises(InfeasibleError):
-            optimal_sensing_time(channel, dims, sensing, radio)
-    else:
-        assert optimal_sensing_time(channel, dims, sensing, radio) == expected
+    # A greedy start built for other sensing targets has the same
+    # association and powers; only its sensing times differ.
+    other = default_initialization(channel, dims, make_sensing(pd=0.6, pfa=0.3), radio)
+    for base_alloc in (None, other):
+        if expected is None:
+            with pytest.raises(InfeasibleError):
+                optimal_sensing_time(channel, dims, sensing, radio, base_alloc)
+        else:
+            assert optimal_sensing_time(channel, dims, sensing, radio,
+                                        base_alloc) == expected
 
 
 @pytest.mark.parametrize("steps", [0, 1, 32])
@@ -334,6 +432,11 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="tau", grid=(0.1,), trials_per_point=0,
                   base=spec)
+    for param, grid in (("num_users", (1.5,)), ("num_users", (1, 2.5)),
+                        ("num_rrhs", (0, 2)), ("num_rrhs", (2.000001,))):
+        with pytest.raises(ValueError, match="whole numbers"):
+            SweepSpec(param, grid, 1, spec)
+    assert SweepSpec("num_users", (1, 2.0), 1, spec).grid == (1, 2.0)
 
 
 def test_tau_sweep_rows_and_determinism():
@@ -355,17 +458,24 @@ def test_tau_sweep_rows_and_determinism():
                                         ("target_pd", (0.8, 0.9)),
                                         ("target_pfa", (0.1, 0.2, 0.3))])
 def test_sweep_draws_each_trial_instance_once(monkeypatch, param, grid):
+    # Each trial's instance and greedy start are built once, for all points.
     spec = small_spec(seed=3)
-    drawn = []
-    draw = scenario.generate_instance
+    drawn, starts = [], []
+    draw, start = scenario.generate_instance, scenario.default_initialization
 
     def counting(spec, seed=None):
         drawn.append(seed)
         return draw(spec, seed=seed)
 
+    def counting_start(*args, **kwargs):
+        starts.append(args[0])
+        return start(*args, **kwargs)
+
     monkeypatch.setattr(scenario, "generate_instance", counting)
+    monkeypatch.setattr(scenario, "default_initialization", counting_start)
     rows = run_sweep(SweepSpec(param, grid, 3, spec))
     assert sorted(drawn) == [3, 4, 5]
+    assert len(starts) == 3
     # A one-point sweep draws its instances afresh: same rows, same bits.
     assert rows == [run_sweep(SweepSpec(param, (v,), 3, spec))[0] for v in grid]
 
@@ -424,6 +534,10 @@ def test_interruption_sweep_monotone():
     spec = small_spec(seed=9)
     grid = [0.005, 0.02, 0.08, 0.2]
     rows = run_interruption_sweep(spec, grid, num_trials=2000)
+    # Every point tests the same draws, as a lone call at that tau does.
+    assert [r["p_interrupt"] for r in rows] == [
+        interruption_probability(t, spec.sensing, spec.dims.num_rrhs, 2000, seed=9)
+        for t in grid]
     ps = [r["p_interrupt"] for r in rows]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     for row in rows:

@@ -143,6 +143,21 @@ def test_interruption_monotone_in_tau_with_common_draws():
     assert vals[0] > vals[-1]  # strictly fewer interruptions at the long end
 
 
+def test_interruption_takes_a_tau_array():
+    # One call per array shares its draws across taus, so each entry has the
+    # bits of a lone call; the scalar call still returns a float.
+    params = make_sensing()
+    taus = np.array([[0.002, 0.01], [0.05, 0.2]])
+    probs = interruption_probability(taus, params, num_rrhs=4, num_trials=2000, seed=3)
+    assert probs.shape == taus.shape
+    assert probs.tolist() == [[interruption_probability(float(t), params, num_rrhs=4,
+                                                        num_trials=2000, seed=3)
+                               for t in row] for row in taus]
+    assert type(interruption_probability(0.01, params, 4, 10)) is float
+    with pytest.raises(ValueError, match="frame_len"):
+        interruption_probability(np.array([0.01, 0.3]), params, 2, 10)
+
+
 def test_interruption_custom_sampler():
     params = make_sensing()
     # Gains large enough that detection always succeeds.
