@@ -15,7 +15,7 @@ from .gaussian import q_func, q_inv
 from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     RadioParams, SearchTruncatedError, SensingParams,
                     SolveReport, UnattainableTargetError, check_constraints,
-                    sinr_absent, sinr_present, total_approx_throughput)
+                    sinr_absent, total_approx_throughput)
 from .power_opt import PowerIterate, PowerSolveResult, solve_power
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        optimal_sensing_time, run_interruption_sweep, run_sweep)

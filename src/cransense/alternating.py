@@ -220,3 +220,21 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
     report.wall_times = times
     report.converged &= report.residual_trajectory[-1] <= FEASIBILITY_TOL
     return alloc, report
+
+
+def best_feasible(solved: list) -> tuple[Allocation, SolveReport]:
+    """The (allocation, report) pair of solved with the highest final
+    objective among those within FEASIBILITY_TOL on C1-C10, the earlier on a
+    tie. With none, InfeasibleError carries every residual and fallback."""
+    residuals = [report.constraint_residuals for _, report in solved]
+    feasible = [i for i, res in enumerate(residuals)
+                if max(res.values()) <= FEASIBILITY_TOL]
+    if not feasible:
+        worst = ", ".join(f"{max(res, key=res.get)} by {max(res.values()):.3g}"
+                          for res in residuals)
+        raise InfeasibleError(
+            f"every solve ends violating a constraint: {worst}",
+            detail={"residuals": residuals,
+                    "fallbacks": [report.step_fallbacks for _, report in solved]})
+    best = np.argmax([solved[i][1].objective_trajectory[-1] for i in feasible])
+    return solved[feasible[best]]

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .alternating import AltConfig, default_initialization, solve_joint
-from .model import (FEASIBILITY_TOL, InfeasibleError, NetworkDims,
-                    RadioParams, SearchTruncatedError, SensingParams)
+from .alternating import (AltConfig, best_feasible, default_initialization,
+                          solve_joint)
+from .model import (InfeasibleError, NetworkDims, RadioParams,
+                    SearchTruncatedError, SensingParams)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        run_interruption_sweep, run_sweep)
 
@@ -201,24 +200,10 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list[str]):
                                                       sort_keys=True) + "\n")
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_count(value) -> bool:
-    return _is_number(value) and float(value).is_integer() and value >= 1
-
-
 def _sweep_grid(cfg, command, spec):
     """The config's grid, or the command's default when the config pins none."""
-    explicit = cfg["sweep"]["grid"]
-    if explicit is not None:
-        if (not isinstance(explicit, list) or not explicit
-                or not all(map(_is_number, explicit)) or explicit != sorted(explicit)):
-            raise ConfigError("sweep.grid must be a non-empty, sorted list of "
-                              f"numbers, got {explicit!r}")
-        return list(explicit)
+    if cfg["sweep"]["grid"] is not None:
+        return cfg["sweep"]["grid"]
     T = spec.sensing.frame_len
     return {
         "sweep-tau": list(np.linspace(T / 50, T, 50)),
@@ -228,25 +213,6 @@ def _sweep_grid(cfg, command, spec):
         "sweep-rrhs": [2, 4, 6],
         "interruption": list(np.linspace(T / 20, T, 20)),
     }[command]
-
-
-def _check_sweep(command: str, grid: list, trials, spec: ScenarioSpec):
-    """Reject a trial count or grid value the command cannot run."""
-    if not _is_count(trials):
-        raise ConfigError(f"sweep.trials_per_point must be a whole number >= 1, "
-                          f"got {trials!r}")
-    T = spec.sensing.frame_len
-    for value in grid:
-        if command in ("sweep-tau", "interruption") and not 0.0 < value <= T:
-            raise ConfigError(f"sweep.grid sensing time {value!r} s lies outside "
-                              f"(0, {T!r}] s, the frame")
-        if command in ("sweep-users", "sweep-rrhs") and not _is_count(value):
-            raise ConfigError(f"sweep.grid count {value!r} must be a whole number >= 1")
-        if command in ("sweep-pd", "sweep-pfa"):
-            try:
-                dataclasses.replace(spec.sensing, **{_SWEEP_PARAM[command]: value})
-            except ValueError as err:
-                raise ConfigError(f"sweep.grid value {value!r}: {err}") from err
 
 
 _SWEEP_PARAM = {"sweep-tau": "tau", "sweep-pd": "target_pd",
@@ -261,16 +227,8 @@ def run_solve(cfg: dict, out_dir: Path, verbose: bool) -> list[str]:
                                   user_positions=positions,
                                   rrh_coords=spec.rrh_coords)
     alt = build_alt_config(cfg)
-    alloc, report = solve_joint(init, channel, spec.dims, spec.sensing,
-                                spec.radio, alt)
-    worst = max(report.constraint_residuals, key=report.constraint_residuals.get)
-    if report.constraint_residuals[worst] > FEASIBILITY_TOL:
-        raise InfeasibleError(
-            f"final allocation violates {worst} by "
-            f"{report.constraint_residuals[worst]:.3g}",
-            detail={"constraint": worst,
-                    "residuals": report.constraint_residuals,
-                    "fallbacks": report.step_fallbacks})
+    alloc, report = best_feasible([solve_joint(init, channel, spec.dims, spec.sensing,
+                                               spec.radio, alt)])
     rows = [{"iteration": i + 1, "objective": obj, "max_residual": res}
             for i, (obj, res) in enumerate(zip(report.objective_trajectory,
                                                report.residual_trajectory))]
@@ -297,26 +255,22 @@ def run_command(command: str, cfg: dict, out_dir: Path, verbose: bool) -> list[s
     if command == "solve":
         return run_solve(cfg, out_dir, verbose)
     spec = build_spec(cfg)
-    grid = _sweep_grid(cfg, command, spec)
-    trials = cfg["sweep"]["trials_per_point"]
-    _check_sweep(command, grid, trials, spec)
-    trials = int(trials)
-    # Per-item values that a command cannot carry over its grid.
-    if command == "interruption" and np.unique(spec.sensing.target_pfa).size > 1:
-        raise ConfigError("interruption needs one sensing.target_pfa for every "
-                          "sub-carrier: a trial does not say which one it draws")
+    grid, trials = _sweep_grid(cfg, command, spec), cfg["sweep"]["trials_per_point"]
+    # A per-item list is refused by its config key; the library checks the rest.
     if command == "sweep-rrhs":
         for section, key in (("radio", "max_power_dbm"), ("dims", "fronthaul_cap")):
             if isinstance(cfg[section][key], list):
                 raise ConfigError(f"sweep-rrhs changes the RRH count, so {section}.{key} "
                                   "must be one number")
-    if command == "interruption":
-        rows = run_interruption_sweep(spec, grid, trials)
-        write_csv(out_dir / "interruption.csv", rows)
-        return ["interruption.csv"]
-    sweep = SweepSpec(swept_parameter=_SWEEP_PARAM[command], grid=tuple(grid),
-                      trials_per_point=trials, base=spec)
-    rows = run_sweep(sweep, build_alt_config(cfg))
+    try:
+        if command == "interruption":
+            rows = run_interruption_sweep(spec, grid, trials)
+        else:
+            sweep = SweepSpec(_SWEEP_PARAM[command], grid, trials, spec)
+    except ValueError as err:
+        raise ConfigError(f"sweep: {err}") from err
+    if command != "interruption":
+        rows = run_sweep(sweep, build_alt_config(cfg))
     name = f"{command.replace('-', '_')}.csv"
     write_csv(out_dir / name, rows)
     return [name]

@@ -232,11 +232,6 @@ def sinr_absent(p, h, interference, noise_power):
     return p * h / (noise_power + interference)
 
 
-def sinr_present(p, h, interference, hvwn_interference, noise_power):
-    """SINR of an LVWN user with the HVWN user active: p*h / (sigma0^2 + I + I_p)."""
-    return p * h / (noise_power + interference + hvwn_interference)
-
-
 def interference_map(power: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Cross-cell interference I[r, k, n] for every cell, shape (R, K, N).
 
@@ -281,24 +276,6 @@ def approx_rate_cells(alloc: Allocation, channel: ChannelState,
     """Approximated per-cell throughput (idle-dominant term only), (R, K, N)."""
     return alloc.uav * rate_table(alloc.sensing_time, alloc.power, channel,
                                   sensing, radio)
-
-
-def exact_rate_cells(alloc: Allocation, channel: ChannelState,
-                     sensing: SensingParams, radio: RadioParams,
-                     pd_per_subcarrier: np.ndarray) -> np.ndarray:
-    """Exact per-cell average throughput including the missed-detection term."""
-    T = sensing.frame_len
-    pfa = sensing.pfa_per_subcarrier(channel.num_subcarriers)
-    pd = np.broadcast_to(np.asarray(pd_per_subcarrier, dtype=float),
-                         (channel.num_subcarriers,))
-    inter = interference_map(alloc.power, channel.downlink_gain)
-    g0 = sinr_absent(alloc.power, channel.downlink_gain, inter, radio.noise_power)
-    g1 = sinr_present(alloc.power, channel.downlink_gain, inter,
-                      radio.hvwn_interference, radio.noise_power)
-    frac = (T - alloc.sensing_time) / T
-    idle = sensing.idle_prob * np.log2(1.0 + g0) * (1.0 - pfa)[None, :, None]
-    busy = sensing.hvwn_active_prob * np.log2(1.0 + g1) * (1.0 - pd)[None, :, None]
-    return alloc.uav * frac[:, :, None] * (idle + busy)
 
 
 def slice_rates(rate_cells: np.ndarray, dims: NetworkDims) -> np.ndarray:

@@ -26,13 +26,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .alternating import (AltConfig, default_initialization,
+from .alternating import (AltConfig, best_feasible, default_initialization,
                           minimal_feasible_tau, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
@@ -69,26 +71,58 @@ class ScenarioSpec:
         object.__setattr__(self, "rrh_coords", coords)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value) -> bool:
+    return _is_number(value) and float(value).is_integer() and value >= 1
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """One parameter swept over a grid (a list, tuple or 1-D array), with
+    trials_per_point draws per point. Any input the sweep cannot run raises
+    ValueError here, before anything is drawn."""
+
     swept_parameter: str
     grid: tuple
     trials_per_point: int
     base: ScenarioSpec
 
     def __post_init__(self):
-        if self.swept_parameter not in SWEEP_PARAMETERS:
-            raise ValueError(f"unknown sweep parameter {self.swept_parameter!r}")
-        grid = tuple(self.grid)
-        if not grid or list(grid) != sorted(grid):
-            raise ValueError("grid must be non-empty and sorted")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
-        if self.swept_parameter in ("num_users", "num_rrhs") and not all(
-                float(v).is_integer() and v >= 1 for v in grid):
-            raise ValueError(f"{self.swept_parameter} grid values must be whole "
-                             f"numbers >= 1, got {grid}")
+        param, base, T = self.swept_parameter, self.base, self.base.sensing.frame_len
+        if param not in SWEEP_PARAMETERS:
+            raise ValueError(f"unknown sweep parameter {param!r}")
+        grid = tuple(self.grid) if isinstance(self.grid, (list, tuple, np.ndarray)) else ()
+        if not grid or not all(map(_is_number, grid)) or list(grid) != sorted(grid):
+            raise ValueError("grid must be a non-empty, sorted sequence of finite "
+                             f"numbers, got {self.grid!r}")
+        if not _is_count(self.trials_per_point):
+            raise ValueError("trials_per_point must be a whole number >= 1, "
+                             f"got {self.trials_per_point!r}")
+        for value in grid:
+            if param == "tau" and not 0.0 < value <= T:
+                raise ValueError(f"sensing time {value!r} s lies outside (0, {T!r}] s")
+            if param in ("target_pd", "target_pfa"):
+                try:
+                    dataclasses.replace(base.sensing, **{param: value})
+                except ValueError as err:
+                    raise ValueError(f"{param} grid value {value!r}: {err}") from None
+            if param in ("num_users", "num_rrhs") and not _is_count(value):
+                raise ValueError(f"{param} grid values must be whole numbers >= 1, "
+                                 f"got {grid}")
+        if param == "num_rrhs":  # every RRH count gets the default layout and links
+            default = default_rrh_coords(base.dims.num_rrhs, base.area_side)
+            for name, per_rrh in (
+                    ("rrh_coords", not np.array_equal(base.rrh_coords, default)),
+                    ("fronthaul_cap", np.unique(base.dims.fronthaul_cap).size > 1),
+                    ("max_power", np.ndim(base.radio.max_power) > 0)):
+                if per_rrh:
+                    raise ValueError(f"an RRH-count sweep cannot keep a per-RRH {name}")
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "trials_per_point", int(self.trials_per_point))
 
 
 def default_rrh_coords(num_rrhs: int, area_side: float) -> np.ndarray:
@@ -409,42 +443,31 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
                               (int(value), base.dims.num_bbus)).copy())
         channel, _ = generate_instance(spec, seed=seed)
         return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
-    if param == "num_users":
-        spec = _with_dims(base, users_per_slice=int(value))
-        channel, positions = generate_instance(spec, seed=seed)
-        init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
-                                      user_positions=positions,
-                                      rrh_coords=spec.rrh_coords)
-        # Instances are nested in the user count, so the previous grid
-        # point's solution for this trial embeds feasibly here with the same
-        # objective. Solving from it and from the fresh init, and keeping
-        # the better answer, makes the per-trial throughput non-decreasing
-        # along the grid; the unsolved init cannot be ranked against the
-        # solved carry, as new users earn rate only once a solve powers
-        # them. An init that breaks a constraint is skipped when the carry
-        # exists: every block solve falls back from it, so its answer stays
-        # infeasible. Answers that break a constraint are dropped; with none
-        # left the trial is infeasible. Each answer's objective is the last
-        # entry of its trajectory: solve_joint returns what it last scored.
-        starts = [init]
-        prev = carry.get(trial)
-        if prev is not None:
-            warm = _pad_users(prev[1], prev[0], spec.dims)
-            residuals = check_constraints(init, spec.dims, spec.radio,
-                                          spec.sensing, channel)
-            starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
-        solved = [solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)
-                  for start in starts]
-        answers = [(report.objective_trajectory[-1], alloc) for alloc, report in solved
-                   if max(report.constraint_residuals.values()) <= FEASIBILITY_TOL]
-        if not answers:
-            raise InfeasibleError(
-                f"no joint solve of {value} users per slice ends feasible",
-                detail={"residuals": solved[-1][1].constraint_residuals})
-        obj, alloc = answers[int(np.argmax([v for v, _ in answers]))]
-        carry[trial] = (spec.dims.users_per_slice, alloc)
-        return obj
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    # num_users
+    spec = _with_dims(base, users_per_slice=int(value))
+    channel, positions = generate_instance(spec, seed=seed)
+    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
+                                  user_positions=positions, rrh_coords=spec.rrh_coords)
+    # Instances are nested in the user count, so the trial's answer at the
+    # previous grid point embeds here with the same objective. Solving from
+    # it and from the fresh init (unsolved, the init cannot be ranked: new
+    # users earn rate only once a solve powers them) and keeping the better
+    # feasible answer makes the trial's throughput non-decreasing along the
+    # grid; with none the trial is infeasible. An init that breaks a
+    # constraint is skipped when the carry exists: every block falls back
+    # from it. The solves go through this module's solve_joint binding, so a
+    # caller that wraps it sees every one.
+    starts = [init]
+    prev = carry.get(trial)
+    if prev is not None:
+        warm = _pad_users(prev[1], prev[0], spec.dims)
+        residuals = check_constraints(init, spec.dims, spec.radio, spec.sensing, channel)
+        starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
+    alloc, report = best_feasible([
+        solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)
+        for start in starts])
+    carry[trial] = (spec.dims.users_per_slice, alloc)
+    return report.objective_trajectory[-1]
 
 
 def _sweep_row(param, value, mean, stderr, infeasible) -> dict:
@@ -463,9 +486,12 @@ def _sweep_row(param, value, mean, stderr, infeasible) -> dict:
 
 def run_interruption_sweep(spec: ScenarioSpec, tau_grid, num_trials: int) -> list[dict]:
     """Interruption probability versus sensing time, common random numbers:
-    every tau is tested on the same draws."""
-    probs = interruption_probability(np.asarray(tau_grid, dtype=float), spec.sensing,
-                                     spec.dims.num_rrhs, num_trials, seed=spec.seed)
+    every tau is tested on the same draws. The grid and trial count follow
+    the tau sweep's rules (SweepSpec), else ValueError."""
+    sweep = SweepSpec("tau", tau_grid, num_trials, spec)
+    trials = sweep.trials_per_point
+    probs = interruption_probability(np.asarray(sweep.grid, dtype=float), spec.sensing,
+                                     spec.dims.num_rrhs, trials, seed=spec.seed)
     return [{"tau_ms": tau * 1e3, "p_interrupt": p,
-             "stderr": float(np.sqrt(max(p * (1.0 - p), 0.0) / num_trials))}
-            for tau, p in zip(tau_grid, probs.tolist())]
+             "stderr": float(np.sqrt(max(p * (1.0 - p), 0.0) / trials))}
+            for tau, p in zip(sweep.grid, probs.tolist())]

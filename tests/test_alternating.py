@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dims, make_radio, make_sensing, random_channel
-from cransense.alternating import (AltConfig, default_initialization,
+from cransense.alternating import (AltConfig, best_feasible,
+                                   default_initialization,
                                    minimal_feasible_tau, solve_joint)
 from cransense.cli import build_spec, load_config
-from cransense.model import (ChannelState, InfeasibleError, NetworkDims,
-                             check_constraints, total_approx_throughput)
+from cransense.model import (FEASIBILITY_TOL, ChannelState, InfeasibleError,
+                             NetworkDims, SolveReport, check_constraints,
+                             total_approx_throughput)
 from cransense.power_opt import solve_power
 from cransense.scenario import generate_instance
 from cransense.sensing import detection_probability, detection_threshold
@@ -366,3 +368,34 @@ def test_no_bbu_capacity_with_a_slice_floor_ends_unconverged_on_c10():
     assert not report.converged
     assert report.constraint_residuals["C10"] == pytest.approx(0.1)
     assert checked_solve(channel, dims, make_radio(rsv=0.1), "abort") is None
+
+
+def answer(objective, c10=0.0):
+    """A finished solve as best_feasible sees it: its allocation is opaque."""
+    report = SolveReport(objective_trajectory=[0.0, objective],
+                         constraint_residuals={"C1": 0.0, "C10": c10},
+                         step_fallbacks=[(0, "step3", f"objective {objective}")])
+    return object(), report
+
+
+def test_best_feasible_keeps_the_earlier_of_tied_answers():
+    first, tied, better = answer(5.0), answer(5.0), answer(6.0)
+    assert best_feasible([first, tied]) is first
+    assert best_feasible([first, better, answer(6.0)]) is better
+    # A higher objective off by more than FEASIBILITY_TOL does not compete.
+    edge = answer(4.0, c10=FEASIBILITY_TOL)
+    assert best_feasible([answer(9.0, c10=2 * FEASIBILITY_TOL), edge]) is edge
+
+
+def test_best_feasible_returns_a_lone_feasible_answer_itself():
+    only = answer(3.0)
+    assert best_feasible([only]) is only
+
+
+def test_best_feasible_raises_with_every_answers_residuals():
+    solved = [answer(9.0, c10=0.5), answer(2.0, c10=1e-3)]
+    with pytest.raises(InfeasibleError, match="C10 by 0.5, C10 by 0.001") as err:
+        best_feasible(solved)
+    detail = err.value.detail
+    assert detail["residuals"] == [r.constraint_residuals for _, r in solved]
+    assert detail["fallbacks"] == [r.step_fallbacks for _, r in solved]

@@ -233,6 +233,19 @@ def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
     assert "fronthaul_cap" in capsys.readouterr().err
 
 
+def test_sweep_rrhs_rejects_pinned_rrh_coords(tmp_path, capsys):
+    # Every RRH count is laid out on the default grid, so pinned coordinates
+    # would be ignored; they are refused instead.
+    doc = dict(SMALL)
+    doc["scenario"] = {"rrh_coords_km": [[0.5, 0.5], [1.5, 1.5]]}
+    doc["sweep"] = {"grid": [2, 3], "trials_per_point": 1}
+    out = tmp_path / "run"
+    assert main(["sweep-rrhs", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+    assert "rrh_coords" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,sweep,argv", [
     ("sweep-pfa", {}, ["--trials", "0"]),
     ("interruption", {}, ["--trials", "0"]),

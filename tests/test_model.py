@@ -5,10 +5,31 @@ from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense.model import (Allocation, ChannelState, NetworkDims,
                              approx_rate_cells, check_constraints,
-                             exact_rate_cells, interference_map, rate_table,
-                             sinr_absent, sinr_present, slice_rates,
-                             total_approx_throughput)
+                             interference_map, rate_table, sinr_absent,
+                             slice_rates, total_approx_throughput)
 from cransense.power_opt import _Slots
+
+
+def sinr_present(p, h, interference, hvwn_interference, noise_power):
+    """SINR of an LVWN user with the HVWN user active: p*h / (sigma0^2 + I + I_p)."""
+    return p * h / (noise_power + interference + hvwn_interference)
+
+
+def exact_rate_cells(alloc, channel, sensing, radio, pd_per_subcarrier):
+    """The paper's exact per-cell average throughput, missed-detection term
+    included: the reference for the idle-only rate every solver maximizes."""
+    T = sensing.frame_len
+    pfa = sensing.pfa_per_subcarrier(channel.num_subcarriers)
+    pd = np.broadcast_to(np.asarray(pd_per_subcarrier, dtype=float),
+                         (channel.num_subcarriers,))
+    inter = interference_map(alloc.power, channel.downlink_gain)
+    g0 = sinr_absent(alloc.power, channel.downlink_gain, inter, radio.noise_power)
+    g1 = sinr_present(alloc.power, channel.downlink_gain, inter,
+                      radio.hvwn_interference, radio.noise_power)
+    frac = (T - alloc.sensing_time) / T
+    idle = sensing.idle_prob * np.log2(1.0 + g0) * (1.0 - pfa)[None, :, None]
+    busy = sensing.hvwn_active_prob * np.log2(1.0 + g1) * (1.0 - pd)[None, :, None]
+    return alloc.uav * frac[:, :, None] * (idle + busy)
 
 
 def reference_interference(power, gain):

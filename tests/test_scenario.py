@@ -437,6 +437,66 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError, match="whole numbers"):
             SweepSpec(param, grid, 1, spec)
     assert SweepSpec("num_users", (1, 2.0), 1, spec).grid == (1, 2.0)
+    sweep = SweepSpec("tau", [0.05, 0.1], 2.0, spec)
+    assert sweep.grid == (0.05, 0.1) and type(sweep.trials_per_point) is int
+
+
+@pytest.mark.parametrize("param,grid,trials", [
+    # The library form of every bad sweep section in tests/test_cli.py.
+    ("target_pfa", (0.1, 0.2, 0.3), 0),
+    ("interruption", (0.05, 0.1), 0),
+    ("target_pfa", (0.1, 0.2, 0.3), 1.5),
+    ("tau", (), 2),
+    ("tau", (0.1, 0.05), 2),
+    ("tau", 0.05, 2),
+    ("target_pfa", ("0.1",), 2),
+    ("target_pd", (0.9, 1.0), 2),
+    ("target_pd", (0.1, 0.9), 2),       # not above target_pfa = 0.2
+    ("target_pfa", (0.1, 0.95), 2),     # not below target_pd = 0.9
+    ("num_users", (0, 1), 2),
+    ("num_users", (2.5,), 2),
+    ("num_rrhs", (0, 2), 2),
+    ("num_rrhs", (1.5, 2), 2),
+    ("tau", (0.5,), 2),                 # beyond T = 200 ms
+    ("tau", (0.0, 0.1), 2),
+    ("interruption", (0.1, 0.5), 2),
+    ("interruption", (-0.1, 0.1), 2),
+    # Inputs a config document cannot spell.
+    ("tau", (0.05, float("nan")), 2),
+    ("tau", "0.1", 2),
+    ("num_users", (True, 2), 2),
+    ("num_users", (1, 2), True),
+])
+def test_bad_sweep_input_raises_before_any_draw(monkeypatch, param, grid, trials):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a bad sweep input reached the draws")
+
+    monkeypatch.setattr(scenario, "generate_instance", no_draws)
+    monkeypatch.setattr(scenario, "interruption_probability", no_draws)
+    spec = small_spec()
+    with pytest.raises(ValueError):
+        if param == "interruption":
+            run_interruption_sweep(spec, grid, trials)
+        else:
+            run_sweep(SweepSpec(param, grid, trials, spec))
+
+
+def test_rrh_count_sweep_refuses_per_rrh_inputs():
+    # The sweep rebuilds the layout, budgets and links for every RRH count,
+    # so a base that pins them per RRH would be silently ignored.
+    spec = small_spec()
+    pinned = dataclasses.replace(spec, rrh_coords=np.array([[0.5, 0.5], [1.5, 1.5]]))
+    per_link = dataclasses.replace(spec, dims=dataclasses.replace(
+        spec.dims, fronthaul_cap=np.array([[1, 2], [3, 4]])))
+    per_rrh = dataclasses.replace(spec, radio=dataclasses.replace(
+        spec.radio, max_power=np.array([1.0, 0.5])))
+    for base, name in ((pinned, "rrh_coords"), (per_link, "fronthaul_cap"),
+                       (per_rrh, "max_power")):
+        with pytest.raises(ValueError, match=name):
+            SweepSpec("num_rrhs", (2, 3), 1, base)
+        SweepSpec("num_users", (1, 2), 1, base)  # the user count keeps them
+    explicit = dataclasses.replace(spec, rrh_coords=default_rrh_coords(2, 2.0))
+    SweepSpec("num_rrhs", (2, 3), 1, explicit)
 
 
 def test_tau_sweep_rows_and_determinism():
