@@ -28,7 +28,7 @@ def main():
     print(f"initial greedy allocation: {obj0:.2f} bps/Hz summed over cells")
 
     alloc, report = solve_joint(init, channel, spec.dims, spec.sensing,
-                                spec.radio, AltConfig(assoc_node_limit=20_000))
+                                spec.radio, AltConfig())
 
     print(f"converged: {report.converged} after {report.iterations} outer "
           f"iterations")

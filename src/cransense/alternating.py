@@ -1,10 +1,11 @@
 """Outer alternation: sensing time, associations, powers, until convergence.
 
 Each outer iteration runs the three block solves in order. Step 1 keeps the
-previous sensing times feasible and step 3 ascends monotonically from the
-current powers; with warm_start on, the current association also seeds
-step 2's incumbent, so no step can decrease the objective and the
-trajectory is non-decreasing.
+previous sensing times feasible, the current association seeds step 2's
+incumbent, and step 3 ascends monotonically from the current powers, so no
+step can decrease the objective and the trajectory is non-decreasing. A
+block with no feasible point keeps its previous values, and the solve lists
+it in SolveReport.step_fallbacks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from . import assoc_opt, power_opt, sensing_opt
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams,
                     SearchTruncatedError, SensingParams, SolveReport,
-                    check_constraints, total_approx_throughput)
+                    check_constraints, is_number, store_counts,
+                    total_approx_throughput)
 from .sensing import detection_probability, detection_threshold
 
 _MAX_TAU_STEPS = 32  # float steps that lift a rounded threshold onto target_pd
@@ -26,11 +28,13 @@ _MAX_TAU_STEPS = 32  # float steps that lift a rounded threshold onto target_pd
 
 @dataclass(frozen=True)
 class AltConfig:
+    """Settings of the alternation, each with its one default. A tolerance
+    must be a finite number > 0 and a count a whole number >= 1 (stored as
+    int); anything else raises ValueError naming the field."""
+
     epsilon: float = 1e-3
     max_outer_iters: int = 100
-    warm_start: bool = True
-    fallback_on_infeasible_step: str = "keep-previous"  # or "abort"
-    assoc_node_limit: int = 200_000
+    assoc_node_limit: int = 20_000
     # The power stage must be solved tighter than the outer epsilon, or its
     # early stop leaks a small objective gain into every outer iteration and
     # the outer loop never sees |delta| fall below epsilon.
@@ -38,12 +42,11 @@ class AltConfig:
     power_max_iters: int = 500
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.power_zeta <= 0:
-            raise ValueError("epsilon and power_zeta must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if self.fallback_on_infeasible_step not in ("keep-previous", "abort"):
-            raise ValueError("fallback must be keep-previous or abort")
+        for name in ("epsilon", "power_zeta"):
+            value = getattr(self, name)
+            if not (is_number(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        store_counts(self, ("max_outer_iters", "assoc_node_limit", "power_max_iters"))
 
 
 def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.ndarray:
@@ -156,12 +159,6 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
     times = {"step1": 0.0, "step2": 0.0, "step3": 0.0}
     prev_obj = total_approx_throughput(alloc, channel, sensing, radio)
 
-    def fall_back(it, step, err):
-        """Abort with the error's own type, or keep the block's previous values."""
-        if config.fallback_on_infeasible_step == "abort":
-            raise type(err)(f"{step} infeasible: {err}", err.detail) from err
-        report.step_fallbacks.append((it, step, str(err)))
-
     for it in range(config.max_outer_iters):
         # Step 1: sensing times.
         t0 = time.perf_counter()
@@ -169,7 +166,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
             s1 = sensing_opt.solve_sensing(alloc, channel, dims, sensing, radio)
             alloc.sensing_time = s1.tau
         except InfeasibleError as err:
-            fall_back(it, "step1", err)
+            report.step_fallbacks.append((it, "step1", str(err)))
         times["step1"] += time.perf_counter() - t0
 
         # Step 2: associations.
@@ -178,7 +175,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
             s2 = assoc_opt.solve_association(
                 alloc.sensing_time, alloc.power, channel, dims, sensing, radio,
                 node_limit=config.assoc_node_limit,
-                warm_start=alloc if config.warm_start else None)
+                warm_start=alloc)
             alloc.uav = s2.uav
             alloc.rrh_assoc = s2.rrh_assoc
             alloc.bbu_assoc = s2.bbu_assoc
@@ -188,7 +185,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
         except InfeasibleError as err:
             if isinstance(err, SearchTruncatedError):
                 report.assoc_truncated.append(it)
-            fall_back(it, "step2", err)
+            report.step_fallbacks.append((it, "step2", str(err)))
         times["step2"] += time.perf_counter() - t0
 
         # Zero the power of cells that lost their assignment; it only
@@ -204,7 +201,7 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
                                        max_iters=config.power_max_iters)
             alloc.power = s3.power
         except InfeasibleError as err:
-            fall_back(it, "step3", err)
+            report.step_fallbacks.append((it, "step3", str(err)))
         times["step3"] += time.perf_counter() - t0
 
         obj = total_approx_throughput(alloc, channel, sensing, radio)

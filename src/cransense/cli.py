@@ -3,13 +3,16 @@
 File units follow the usual presentation (tau in ms, powers in dBm); all
 internal computation is SI/linear. Every output directory also receives a
 manifest.json with the fully resolved configuration so any run can be
-reproduced byte-for-byte.
+reproduced byte-for-byte. A command computes all its outputs before the
+output directory is made, so a run that fails leaves no directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,15 +22,13 @@ import numpy as np
 from . import __version__
 from .alternating import (AltConfig, best_feasible, default_initialization,
                           solve_joint)
-from .model import (InfeasibleError, NetworkDims, RadioParams,
-                    SearchTruncatedError, SensingParams)
+from .model import InfeasibleError, NetworkDims, RadioParams, SensingParams
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        run_interruption_sweep, run_sweep)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
-EXIT_TRUNCATED = 4  # a search hit its node limit before any feasible point
 
 DEFAULT_CONFIG = {
     "dims": {
@@ -60,15 +61,7 @@ DEFAULT_CONFIG = {
         "fading_mean": 0.5,
         "seed": 0,
     },
-    "solver": {
-        "epsilon": 1e-3,
-        "max_outer_iters": 100,
-        "warm_start": True,
-        "fallback_on_infeasible_step": "keep-previous",
-        "assoc_node_limit": 20000,
-        "power_zeta": 1e-5,
-        "power_max_iters": 500,
-    },
+    "solver": dataclasses.asdict(AltConfig()),
     "sweep": {
         "grid": None,
         "trials_per_point": 20,
@@ -134,13 +127,7 @@ def build_spec(cfg: dict) -> ScenarioSpec:
     """The scenario a resolved config describes; a bad value is a ConfigError."""
     d, s, r, sc = cfg["dims"], cfg["sensing"], cfg["radio"], cfg["scenario"]
     try:
-        dims = NetworkDims(
-            num_slices=int(d["num_slices"]), num_rrhs=int(d["num_rrhs"]),
-            num_bbus=int(d["num_bbus"]), num_subcarriers=int(d["num_subcarriers"]),
-            users_per_slice=int(d["users_per_slice"]),
-            bbu_user_cap=int(d["bbu_user_cap"]),
-            fronthaul_cap=np.broadcast_to(np.asarray(d["fronthaul_cap"], dtype=int),
-                                          (int(d["num_rrhs"]), int(d["num_bbus"]))).copy())
+        dims = NetworkDims(**d)
         sensing = SensingParams(
             target_pd=float(s["target_pd"]),
             target_pfa=_per_item(s["target_pfa"], dims.num_subcarriers,
@@ -168,36 +155,26 @@ def build_spec(cfg: dict) -> ScenarioSpec:
 
 
 def build_alt_config(cfg: dict) -> AltConfig:
-    s = cfg["solver"]
-    return AltConfig(epsilon=float(s["epsilon"]),
-                     max_outer_iters=int(s["max_outer_iters"]),
-                     warm_start=bool(s["warm_start"]),
-                     fallback_on_infeasible_step=str(s["fallback_on_infeasible_step"]),
-                     assoc_node_limit=int(s["assoc_node_limit"]),
-                     power_zeta=float(s["power_zeta"]),
-                     power_max_iters=int(s["power_max_iters"]))
+    """The solver settings of a resolved config; a bad value is a ConfigError."""
+    try:
+        return AltConfig(**cfg["solver"])
+    except ValueError as err:
+        raise ConfigError(f"solver: {err}") from err
 
 
-def write_csv(path: Path, rows: list[dict]):
+def csv_text(rows: list[dict]) -> str:
     if not rows:
         raise ValueError("no rows to write")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row.values()])
+    return buf.getvalue()
 
 
-def write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list[str]):
-    manifest = {
-        "command": command,
-        "library_version": __version__,
-        "seed": cfg["scenario"]["seed"],
-        "resolved_config": cfg,
-        "outputs": outputs,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                      sort_keys=True) + "\n")
+def json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _sweep_grid(cfg, command, spec):
@@ -217,63 +194,59 @@ def _sweep_grid(cfg, command, spec):
 
 _SWEEP_PARAM = {"sweep-tau": "tau", "sweep-pd": "target_pd",
                 "sweep-pfa": "target_pfa", "sweep-users": "num_users",
-                "sweep-rrhs": "num_rrhs"}
+                "sweep-rrhs": "num_rrhs", "interruption": "tau"}
 
 
-def run_solve(cfg: dict, out_dir: Path, verbose: bool) -> list[str]:
-    spec = build_spec(cfg)
+def run_solve(spec: ScenarioSpec, alt: AltConfig, verbose: bool) -> dict[str, str]:
     channel, positions = generate_instance(spec)
     init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
                                   user_positions=positions,
                                   rrh_coords=spec.rrh_coords)
-    alt = build_alt_config(cfg)
     alloc, report = best_feasible([solve_joint(init, channel, spec.dims, spec.sensing,
                                                spec.radio, alt)])
     rows = [{"iteration": i + 1, "objective": obj, "max_residual": res}
             for i, (obj, res) in enumerate(zip(report.objective_trajectory,
                                                report.residual_trajectory))]
-    write_csv(out_dir / "iterations.csv", rows)
     dump = {
         "converged": report.converged,
         "iterations": report.iterations,
         "constraint_residuals": report.constraint_residuals,
+        "assoc_truncated": report.assoc_truncated,
+        "step_fallbacks": report.step_fallbacks,
         "tau_ms": (alloc.sensing_time * 1e3).tolist(),
         "power_dbm": (10.0 * np.log10(np.maximum(alloc.power, 1e-30) / 1e-3)).tolist(),
         "beta": alloc.uav.tolist(),
         "rrh_assoc": alloc.rrh_assoc.tolist(),
         "bbu_assoc": alloc.bbu_assoc.tolist(),
     }
-    (out_dir / "allocation.json").write_text(json.dumps(dump, indent=2,
-                                                        sort_keys=True) + "\n")
     if verbose:
         print(f"converged={report.converged} after {report.iterations} iterations; "
               f"objective={report.objective_trajectory[-1]:.6g}")
-    return ["iterations.csv", "allocation.json"]
+    return {"iterations.csv": csv_text(rows), "allocation.json": json_text(dump)}
 
 
-def run_command(command: str, cfg: dict, out_dir: Path, verbose: bool) -> list[str]:
+def run_command(command: str, cfg: dict, verbose: bool) -> dict[str, str]:
+    """The text of every output file of command, by file name. Every config
+    value is checked before anything is drawn; a bad one is a ConfigError."""
+    spec, alt = build_spec(cfg), build_alt_config(cfg)
     if command == "solve":
-        return run_solve(cfg, out_dir, verbose)
-    spec = build_spec(cfg)
-    grid, trials = _sweep_grid(cfg, command, spec), cfg["sweep"]["trials_per_point"]
+        return run_solve(spec, alt, verbose)
     # A per-item list is refused by its config key; the library checks the rest.
     if command == "sweep-rrhs":
         for section, key in (("radio", "max_power_dbm"), ("dims", "fronthaul_cap")):
             if isinstance(cfg[section][key], list):
                 raise ConfigError(f"sweep-rrhs changes the RRH count, so {section}.{key} "
                                   "must be one number")
+    name = f"{command.replace('-', '_')}.csv"
     try:
+        sweep = SweepSpec(_SWEEP_PARAM[command], _sweep_grid(cfg, command, spec),
+                          cfg["sweep"]["trials_per_point"], spec)
         if command == "interruption":
-            rows = run_interruption_sweep(spec, grid, trials)
-        else:
-            sweep = SweepSpec(_SWEEP_PARAM[command], grid, trials, spec)
+            return {name: csv_text(run_interruption_sweep(spec, sweep.grid,
+                                                          sweep.trials_per_point))}
     except ValueError as err:
         raise ConfigError(f"sweep: {err}") from err
-    if command != "interruption":
-        rows = run_sweep(sweep, build_alt_config(cfg))
-    name = f"{command.replace('-', '_')}.csv"
-    write_csv(out_dir / name, rows)
-    return [name]
+    return {name: csv_text(run_sweep(sweep, alt))}
 
 
 def main(argv=None) -> int:
@@ -295,26 +268,27 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.seed, args.trials)
+        outputs = run_command(args.command, cfg, args.verbose)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs = run_command(args.command, cfg, out_dir, args.verbose)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SearchTruncatedError as err:
-        print(f"search truncated: {err}", file=sys.stderr)
-        return EXIT_TRUNCATED
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    write_manifest(out_dir, args.command, cfg, outputs)
+    names = list(outputs)
+    outputs["manifest.json"] = json_text({
+        "command": args.command,
+        "library_version": __version__,
+        "seed": cfg["scenario"]["seed"],
+        "resolved_config": cfg,
+        "outputs": names,
+    })
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, newline="")
     if not args.quiet:
-        print(f"wrote {', '.join(outputs)} and manifest.json to {out_dir}")
+        print(f"wrote {', '.join(names)} and manifest.json to {out_dir}")
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ sensing times are (R, K); RRH association x is (N, R); BBU association f is
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,9 +48,34 @@ class UnattainableTargetError(ValueError):
     """The requested sensing targets cannot be met for any sample count."""
 
 
+def is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def is_count(value, least: int = 1) -> bool:
+    """A whole number >= least, as is_number sees numbers."""
+    return is_number(value) and float(value).is_integer() and value >= least
+
+
+def store_counts(obj, names, least: int = 1):
+    """Store each named field of the frozen dataclass obj as an int, or raise
+    ValueError naming the first one that is not a whole number >= least."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_count(value, least):
+            raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class NetworkDims:
-    """Cardinalities of the network plus BBU and fronthaul capacity limits."""
+    """Cardinalities of the network plus BBU and fronthaul capacity limits.
+
+    Every count is a whole number (stored as int); fronthaul_cap is one
+    count per (RRH, BBU) link, or anything that broadcasts to (R, B).
+    """
 
     num_slices: int
     num_rrhs: int
@@ -59,17 +86,17 @@ class NetworkDims:
     fronthaul_cap: np.ndarray  # (R, B) integer user counts
 
     def __post_init__(self):
-        for name in ("num_slices", "num_rrhs", "num_bbus", "num_subcarriers", "users_per_slice"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.bbu_user_cap < 0:
-            raise ValueError("bbu_user_cap must be >= 0")
-        cap = np.asarray(self.fronthaul_cap, dtype=int)
-        if cap.shape != (self.num_rrhs, self.num_bbus):
-            raise ValueError("fronthaul_cap must have shape (R, B)")
-        if np.any(cap < 0):
-            raise ValueError("fronthaul_cap entries must be >= 0")
-        object.__setattr__(self, "fronthaul_cap", cap)
+        store_counts(self, ("num_slices", "num_rrhs", "num_bbus", "num_subcarriers",
+                            "users_per_slice"))
+        store_counts(self, ("bbu_user_cap",), least=0)
+        try:
+            cap = np.broadcast_to(self.fronthaul_cap, (self.num_rrhs, self.num_bbus))
+        except ValueError:
+            raise ValueError("fronthaul_cap must have shape (R, B)") from None
+        if cap.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(cap) & (cap >= 0) & (np.floor(cap) == cap)):
+            raise ValueError("fronthaul_cap entries must be whole numbers >= 0")
+        object.__setattr__(self, "fronthaul_cap", cap.astype(int))
 
     @property
     def num_users(self) -> int:

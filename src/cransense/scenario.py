@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +36,8 @@ from .alternating import (AltConfig, best_feasible, default_initialization,
                           minimal_feasible_tau, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
-                    check_constraints, rate_table)
+                    check_constraints, is_count, is_number, rate_table,
+                    store_counts)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -71,15 +70,6 @@ class ScenarioSpec:
         object.__setattr__(self, "rrh_coords", coords)
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_count(value) -> bool:
-    return _is_number(value) and float(value).is_integer() and value >= 1
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One parameter swept over a grid (a list, tuple or 1-D array), with
@@ -96,12 +86,10 @@ class SweepSpec:
         if param not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {param!r}")
         grid = tuple(self.grid) if isinstance(self.grid, (list, tuple, np.ndarray)) else ()
-        if not grid or not all(map(_is_number, grid)) or list(grid) != sorted(grid):
+        if not grid or not all(map(is_number, grid)) or list(grid) != sorted(grid):
             raise ValueError("grid must be a non-empty, sorted sequence of finite "
                              f"numbers, got {self.grid!r}")
-        if not _is_count(self.trials_per_point):
-            raise ValueError("trials_per_point must be a whole number >= 1, "
-                             f"got {self.trials_per_point!r}")
+        store_counts(self, ("trials_per_point",))
         for value in grid:
             if param == "tau" and not 0.0 < value <= T:
                 raise ValueError(f"sensing time {value!r} s lies outside (0, {T!r}] s")
@@ -110,7 +98,7 @@ class SweepSpec:
                     dataclasses.replace(base.sensing, **{param: value})
                 except ValueError as err:
                     raise ValueError(f"{param} grid value {value!r}: {err}") from None
-            if param in ("num_users", "num_rrhs") and not _is_count(value):
+            if param in ("num_users", "num_rrhs") and not is_count(value):
                 raise ValueError(f"{param} grid values must be whole numbers >= 1, "
                                  f"got {grid}")
         if param == "num_rrhs":  # every RRH count gets the default layout and links
@@ -122,7 +110,6 @@ class SweepSpec:
                 if per_rrh:
                     raise ValueError(f"an RRH-count sweep cannot keep a per-RRH {name}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "trials_per_point", int(self.trials_per_point))
 
 
 def default_rrh_coords(num_rrhs: int, area_side: float) -> np.ndarray:
@@ -370,7 +357,7 @@ def _mean_stderr(values):
     return float(arr.mean()), stderr
 
 
-def run_sweep(sweep: SweepSpec, solver_config: Optional[AltConfig] = None) -> list[dict]:
+def run_sweep(sweep: SweepSpec, solver_config: AltConfig = AltConfig()) -> list[dict]:
     """Execute one sweep; returns one result row per grid point.
 
     Per-trial infeasibility never aborts the sweep: failed trials are
@@ -378,7 +365,6 @@ def run_sweep(sweep: SweepSpec, solver_config: Optional[AltConfig] = None) -> li
     """
     rows = []
     base = sweep.base
-    cfg = solver_config or AltConfig(max_outer_iters=30, assoc_node_limit=20_000)
     # What each trial carries from one grid point to the next: its instance
     # where the swept value does not change it, its last answer in the
     # users sweep.
@@ -390,7 +376,7 @@ def run_sweep(sweep: SweepSpec, solver_config: Optional[AltConfig] = None) -> li
             seed = base.seed + trial
             try:
                 samples.append(_sweep_point(sweep.swept_parameter, value, base,
-                                            seed, cfg, carry, trial))
+                                            seed, solver_config, carry, trial))
             except InfeasibleError:
                 infeasible += 1
         mean, stderr = _mean_stderr(samples)
@@ -437,14 +423,11 @@ def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
         sensing = dataclasses.replace(base.sensing, **{param: value})
         return optimal_sensing_time(channel, base.dims, sensing, base.radio, init)
     if param == "num_rrhs":
-        spec = _with_dims(base, num_rrhs=int(value),
-                          fronthaul_cap=np.broadcast_to(
-                              base.dims.fronthaul_cap.flat[0],
-                              (int(value), base.dims.num_bbus)).copy())
+        spec = _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
         channel, _ = generate_instance(spec, seed=seed)
         return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
     # num_users
-    spec = _with_dims(base, users_per_slice=int(value))
+    spec = _with_dims(base, users_per_slice=value)
     channel, positions = generate_instance(spec, seed=seed)
     init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
                                   user_positions=positions, rrh_coords=spec.rrh_coords)

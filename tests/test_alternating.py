@@ -34,8 +34,19 @@ def test_config_validation():
         AltConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         AltConfig(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        AltConfig(fallback_on_infeasible_step="retry")
+    for name in ("epsilon", "power_zeta"):
+        for value in (-1.0, float("nan"), float("inf"), True, "1e-3", None):
+            with pytest.raises(ValueError, match=name):
+                AltConfig(**{name: value})
+    for name in ("max_outer_iters", "assoc_node_limit", "power_max_iters"):
+        for value in (2.7, 0, -3, True, float("inf"), "10"):
+            with pytest.raises(ValueError, match=name):
+                AltConfig(**{name: value})
+    cfg = AltConfig(max_outer_iters=30.0, assoc_node_limit=np.int64(7))
+    assert type(cfg.max_outer_iters) is int and type(cfg.assoc_node_limit) is int
+    assert AltConfig() == AltConfig(epsilon=1e-3, max_outer_iters=100,
+                                    assoc_node_limit=20_000, power_zeta=1e-5,
+                                    power_max_iters=500)
 
 
 def test_minimal_feasible_tau_meets_target(rng):
@@ -158,25 +169,15 @@ def test_truncated_association_is_reported(rng):
                             AltConfig(assoc_node_limit=1))
     assert report.assoc_truncated == [0]
     assert all(step != "step2" for _, step, _ in report.step_fallbacks)
-    # Cold start: a cut search has no incumbent, so step 2 falls back.
-    _, report = solve_joint(init, channel, dims, sensing, radio,
-                            AltConfig(assoc_node_limit=1, warm_start=False))
-    assert report.assoc_truncated == list(range(report.iterations))
-    assert [it for it, step, _ in report.step_fallbacks if step == "step2"] \
-        == report.assoc_truncated
 
 
-def test_abort_mode_propagates_infeasibility(rng):
+def test_unreachable_slice_floor_records_fallbacks(rng):
     dims = make_dims(R=2, K=2, Ns=2)
     sensing = make_sensing()
     radio = make_radio(rsv=1e9)  # unreachable slice floor
     channel = stable_channel(dims, rng)
     init = default_initialization(channel, dims, sensing, radio)
-    from cransense.model import InfeasibleError
-    with pytest.raises(InfeasibleError):
-        solve_joint(init, channel, dims, sensing, radio,
-                    AltConfig(fallback_on_infeasible_step="abort"))
-    # keep-previous mode survives and records the fallbacks instead.
+    # Each block keeps its previous values and the solve says so.
     _, report = solve_joint(init, channel, dims, sensing, radio)
     assert report.step_fallbacks
 
@@ -262,41 +263,15 @@ def test_default_initialization_matches_slot_loop(seed):
     assert np.array_equal(init.power, beta * share[:, None, None])
 
 
-def test_cold_start_still_runs_step_3():
-    # warm_start=False only drops step 2's incumbent: step 3 still starts
-    # from the current powers, since 0 W misses every positive slice floor.
-    cfg = load_config(None)
-    cfg["dims"].update(num_subcarriers=4, users_per_slice=1)
-    spec = build_spec(cfg)
-    assert spec.radio.reserved_rate > 0
-    channel, positions = generate_instance(spec)
-    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
-                                  user_positions=positions,
-                                  rrh_coords=spec.rrh_coords)
-    obj0 = total_approx_throughput(init, channel, spec.sensing, spec.radio)
-    _, report = solve_joint(init, channel, spec.dims, spec.sensing, spec.radio,
-                            AltConfig(warm_start=False))
-    assert all(step != "step3" for _, step, _ in report.step_fallbacks)
-    assert report.converged
-    assert report.objective_trajectory[-1] > obj0
-
-
-def checked_solve(channel, dims, radio, fallback="keep-previous"):
+def checked_solve(channel, dims, radio):
     """solve_joint from the default start, with the properties every solve has.
 
     The trajectory never falls, a converged answer meets C1-C10 to 1e-6,
-    every returned array is finite, and the one error that escapes is an
-    InfeasibleError with a dict detail, in abort mode. Returns None for it.
+    and every returned array is finite.
     """
     sensing = make_sensing()
     init = default_initialization(channel, dims, sensing, radio)
-    try:
-        alloc, report = solve_joint(init, channel, dims, sensing, radio,
-                                    AltConfig(fallback_on_infeasible_step=fallback))
-    except InfeasibleError as err:
-        assert fallback == "abort"
-        assert isinstance(err.detail, dict)
-        return None
+    alloc, report = solve_joint(init, channel, dims, sensing, radio)
     traj = report.objective_trajectory
     assert all(b >= a - 1e-9 for a, b in zip(traj, traj[1:]))
     if report.converged:
@@ -312,13 +287,12 @@ def checked_solve(channel, dims, radio, fallback="keep-previous"):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 3),
        Ns=st.integers(1, 2), omax=st.integers(0, 3), cmax=st.integers(0, 2),
-       rsv=st.sampled_from([0.0, 0.1, 1.0]),
-       fallback=st.sampled_from(["keep-previous", "abort"]))
+       rsv=st.sampled_from([0.0, 0.1, 1.0]))
 def test_property_solve_joint_is_monotone_finite_and_honest(seed, R, K, Ns, omax,
-                                                           cmax, rsv, fallback):
+                                                           cmax, rsv):
     rng = np.random.default_rng(seed)
     dims = make_dims(R=R, K=K, Ns=Ns, omax=omax, cmax=cmax)
-    checked_solve(random_channel(dims, rng), dims, make_radio(rsv=rsv), fallback)
+    checked_solve(random_channel(dims, rng), dims, make_radio(rsv=rsv))
 
 
 def degenerate_case(name):
@@ -367,7 +341,6 @@ def test_no_bbu_capacity_with_a_slice_floor_ends_unconverged_on_c10():
     report = checked_solve(channel, dims, make_radio(rsv=0.1))
     assert not report.converged
     assert report.constraint_residuals["C10"] == pytest.approx(0.1)
-    assert checked_solve(channel, dims, make_radio(rsv=0.1), "abort") is None
 
 
 def answer(objective, c10=0.0):

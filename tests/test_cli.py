@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cransense.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                           EXIT_TRUNCATED, ConfigError, build_spec,
-                           load_config, main)
+                           ConfigError, build_spec, load_config, main)
 
 SMALL = {
     "dims": {"num_rrhs": 2, "num_bbus": 2, "num_subcarriers": 4,
@@ -69,6 +68,7 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert header == "iteration,objective,max_residual"
     dump = json.loads((out / "allocation.json").read_text())
     assert dump["converged"] is True
+    assert dump["assoc_truncated"] == [] and dump["step_fallbacks"] == []
     captured = capsys.readouterr()
     assert "converged=True" in captured.out
 
@@ -92,20 +92,6 @@ def test_infeasible_run_exits_2_without_manifest(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
     assert not (out / "manifest.json").exists()
     assert "infeasible" in capsys.readouterr().err
-
-
-def test_truncated_search_exits_4_without_manifest(tmp_path, capsys):
-    # A cold association search cut off at its first node finds no feasible
-    # point; aborting must report the truncation, not infeasibility.
-    doc = dict(SMALL)
-    doc["solver"] = {"warm_start": False, "assoc_node_limit": 1,
-                     "fallback_on_infeasible_step": "abort"}
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "run"
-    code = main(["solve", "--config", cfg, "--out", str(out)])
-    assert code == EXIT_TRUNCATED
-    assert not (out / "manifest.json").exists()
-    assert "truncated" in capsys.readouterr().err
 
 
 def test_sweep_tau_rerun_is_byte_identical(tmp_path, capsys):
@@ -189,6 +175,10 @@ def test_per_item_config_values(tmp_path):
     ("radio", "reserved_rate", [0.5]),               # S = 2
     ("radio", "reserved_rate", [[0.5, 0.5]]),
     ("sensing", "target_pfa", 0.95),                 # not below target_pd
+    ("dims", "num_subcarriers", 4.5),
+    ("dims", "num_rrhs", True),
+    ("dims", "bbu_user_cap", 1.5),
+    ("dims", "fronthaul_cap", 1.5),
 ])
 def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     doc = dict(SMALL)
@@ -200,7 +190,24 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
                  "--out", str(out)])
     assert code == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,argv", [("solve", []),
+                                          ("sweep-pfa", ["--trials", "1"])])
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", -1), ("epsilon", "abc"), ("epsilon", float("nan")), ("epsilon", True),
+    ("max_outer_iters", 2.7), ("max_outer_iters", 0), ("max_outer_iters", True),
+])
+def test_bad_solver_section_exits_3(tmp_path, capsys, command, argv, key, value):
+    # Checked before anything runs, even by a command that never solves.
+    doc = dict(SMALL, solver={key: value})
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)] + argv) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"config error: solver: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,section,key,value", [
@@ -274,6 +281,7 @@ def test_bad_sweep_section_exits_3(tmp_path, capsys, command, sweep, argv):
                  "--out", str(out)] + argv)
     assert code == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
     assert "config error:" in capsys.readouterr().err
 
 

@@ -63,6 +63,24 @@ def test_dims_validation():
                     fronthaul_cap=np.ones((3, 2), dtype=int))
 
 
+def test_dims_counts_are_whole_numbers():
+    args = dict(num_slices=1, num_rrhs=2, num_bbus=2, num_subcarriers=1,
+                users_per_slice=1, bbu_user_cap=1, fronthaul_cap=1)
+    for name, value in (("num_rrhs", 2.5), ("num_subcarriers", True),
+                        ("users_per_slice", np.nan), ("bbu_user_cap", 1.5),
+                        ("bbu_user_cap", -1), ("fronthaul_cap", [[1, 0.5], [1, 1]]),
+                        ("fronthaul_cap", -1), ("fronthaul_cap", "2")):
+        with pytest.raises(ValueError, match=name):
+            NetworkDims(**dict(args, **{name: value}))
+    dims = NetworkDims(**dict(args, num_rrhs=2.0, bbu_user_cap=np.int64(0),
+                              fronthaul_cap=[[1.0, 2.0], [3.0, 4.0]]))
+    assert type(dims.num_rrhs) is int and type(dims.bbu_user_cap) is int
+    assert dims.fronthaul_cap.dtype == int
+    assert dims.fronthaul_cap.tolist() == [[1, 2], [3, 4]]
+    # One count serves every (RRH, BBU) link.
+    assert NetworkDims(**args).fronthaul_cap.tolist() == [[1, 1], [1, 1]]
+
+
 def test_sensing_params_validation():
     with pytest.raises(ValueError):
         make_sensing(pd=1.0)
