@@ -20,13 +20,20 @@ of other RRHs where the user held the maximum. A maximum is exact, so the
 table equals a from-scratch rebuild bit for bit; nodes that assign no new
 user share their parent's table.
 
+A node applies the bound test to each child on its own table before
+entering it. A narrowed table is no larger entry by entry and numpy's sum
+is monotone, so a child this test prunes would prune itself at entry: it
+is counted as a node and a bound prune, and node_limit stops on it, as if
+it had been entered. Counts are restored after every child, so whether the
+slot's RRH has room for one more user is asked once per node.
+
 The bound and C10 prunes compare numpy's sum of the table's tail, whose
 bits decide the prunes that tie. Each table carries right-to-left suffix
 sums too: for L terms >= 0 both sums lie within (L-1) 2^-53 of the exact
 one, relatively, and adding a number rounds monotonically, so a slack of
 L 2^-50 around the suffix sum brackets where numpy's sum puts the
 comparison. numpy sums only when the bracket straddles the threshold,
-which takes a near tie (none of 104,220 checks over the 40 dense tables
+which takes a near tie (none of 119,984 checks over the 40 dense tables
 of the assoc-dense benchmark at seed 0), and the search explores the same nodes, with the same
 prunes, as with numpy's sum at every node.
 """
@@ -213,35 +220,61 @@ class _Search:
                 self.prune_causes["C10"] += 1
                 return
 
+        # Children are bound-tested on this table before entry, and RRH r's
+        # room for a new user is asked once (see the module docstring).
+        nxt = i + 1
+        tail = psuf[nxt] if nxt < self.num_slots else None
         r = self.slot_r[i]
         rates = self.rates[i]
         assigned, counts = self.assigned, self.counts
+        room = None
         for n in self.cand[i]:
             prev = assigned[n]
             if prev >= 0 and prev != r:
                 continue
             fresh = prev < 0
             if fresh:
+                if room is None:
+                    counts[r] += 1
+                    room = self.feasible_counts(counts)
+                    counts[r] -= 1
+                if not room:
+                    self.prune_causes["capacity"] += 1
+                    continue
                 assigned[n] = r
                 counts[r] += 1
-                if not self.feasible_counts(counts):
-                    self.prune_causes["capacity"] += 1
-                    assigned[n] = -1
-                    counts[r] -= 1
-                    continue
             rate = rates[n]
             s = self.user_slice[n]
             self.choice[i] = n
             self.obj_acc += rate
             self.slice_acc[s] += rate
-            self.dfs(i + 1, table, n if fresh else -1)
+            if tail is not None and _tail_below(self.obj_acc, tail, length - 1, per, nxt,
+                                                self.best_obj + _TIE_TOL, operator.le):
+                self.count_pruned_child()
+            else:
+                self.dfs(nxt, table, n if fresh else -1)
             self.choice[i] = -1
             self.obj_acc -= rate
             self.slice_acc[s] -= rate
             if fresh:
                 assigned[n] = -1
                 counts[r] -= 1
-        self.dfs(i + 1, table)  # leave the slot empty
+        # leave the slot empty
+        if tail is not None and _tail_below(self.obj_acc, tail, length - 1, per, nxt,
+                                            self.best_obj + _TIE_TOL, operator.le):
+            self.count_pruned_child()
+        else:
+            self.dfs(nxt, table)
+
+    def count_pruned_child(self):
+        """Count a child as dfs would when its entry's bound test prunes it."""
+        if self.hit_limit:
+            return
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            self.hit_limit = True
+            return
+        self.prune_causes["bound"] += 1
 
 
 def _suffix_sums(xs):
@@ -271,17 +304,20 @@ def _tail_below(acc, seq_tail, length, row, i, threshold, below):
     return below(acc + float(np.sum(row[i:])), threshold)
 
 
-def _deterministic_bbu_assignment(assigned, dims):
+def _deterministic_bbu_assignment(assigned, dims, cuts=None):
     """f consistent with C3/C7/C8 for a servable user->RRH map.
 
     Each served user, in index order, takes the lowest-index BBU whose unit
     of capacity leaves the users after it servable, which keeps the whole
-    map servable at every step. The cut table is built once: taking a unit
-    of BBU b's capacity and of the r->b link lowers inside by b's membership
-    column and outside[:, r] by its complement, in exact integers.
+    map servable at every step. cuts is dims' cut table, built here when not
+    given, and is not written: taking a unit of BBU b's capacity and of the
+    r->b link lowers a copy's inside by b's membership column and
+    outside[:, r] by its complement, in exact integers.
     """
-    inside, outside = _cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
-                                 dims.fronthaul_cap)
+    if cuts is None:
+        cuts = _cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
+                          dims.fronthaul_cap)
+    inside, outside = cuts[0].copy(), cuts[1].copy()
     member = _subsets(dims.num_bbus)
     other = 1 - member
     bbu_left = [dims.bbu_user_cap] * dims.num_bbus
@@ -365,7 +401,7 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
     served = np.flatnonzero(assigned >= 0)
     x = np.zeros((N, R), dtype=int)
     x[served, assigned[served]] = 1
-    f = _deterministic_bbu_assignment(assigned, dims)
+    f = _deterministic_bbu_assignment(assigned, dims, search.cuts)
     y = Allocation(sensing_time=tau, power=power, uav=beta, rrh_assoc=x,
                    bbu_assoc=f).derived_linkage()
     return AssocSolveResult(bbu_assoc=f, rrh_assoc=x, uav=beta, linkage=y,

@@ -149,7 +149,7 @@ def build_spec(cfg: dict) -> ScenarioSpec:
             area_side=float(sc["area_side_km"]),
             rrh_coords=None if coords is None else np.asarray(coords, dtype=float),
             pathloss_exp=float(sc["pathloss_exp"]),
-            fading_mean=float(sc["fading_mean"]), seed=int(sc["seed"]))
+            fading_mean=float(sc["fading_mean"]), seed=sc["seed"])
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 

@@ -57,6 +57,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        store_counts(self, ("seed",), least=0)
         if self.area_side <= 0 or self.pathloss_exp <= 0 or self.fading_mean <= 0:
             raise ValueError("area_side, pathloss_exp and fading_mean must be positive")
         coords = self.rrh_coords

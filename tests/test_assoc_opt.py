@@ -1,15 +1,17 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
-from cransense import assoc_opt
+from cransense import assoc_opt, cli, scenario
 from cransense.assoc_opt import rate_table, solve_association
 from cransense.model import (Allocation, InfeasibleError, NetworkDims,
                              SearchTruncatedError, approx_rate_cells,
@@ -321,6 +323,74 @@ def test_property_matches_brute_force(seed, omax, cmax, floor):
     assert res.objective == pytest.approx(oracle, abs=1e-9)
 
 
+def highs_association(rates, dims, rsv):
+    """The association ILP's optimum by HiGHS, an oracle independent of the search.
+
+    Binaries beta[r, k, n] and z[n, r, b] (user n reaches BBU b through RRH
+    r): the capacities are rows on z, not Gale's cut condition.
+    """
+    R, K, N = rates.shape
+    B = dims.num_bbus
+    beta = np.arange(R * K * N).reshape(R, K, N)
+    z = beta.size + np.arange(N * R * B).reshape(N, R, B)
+    # (columns, coefficients, lower, upper) per row
+    rows = [(beta[r, k], 1.0, -np.inf, 1) for r, k in np.ndindex(R, K)]  # C5
+    rows += [(z[n], 1.0, -np.inf, 1) for n in range(N)]  # one (RRH, BBU) per user
+    rows += [(z[:, :, b], 1.0, -np.inf, dims.bbu_user_cap) for b in range(B)]
+    rows += [(z[:, r, b], 1.0, -np.inf, dims.fronthaul_cap[r, b])
+             for r, b in np.ndindex(R, B)]
+    rows += [(np.r_[beta[r, k, n], z[n, r]], np.r_[1.0, -np.ones(B)], -np.inf, 0)
+             for r, k, n in np.ndindex(R, K, N)]  # served only through a link
+    rows += [(beta[:, :, dims.user_slice == s], rates[:, :, dims.user_slice == s],
+              rsv[s] - 1e-9, np.inf) for s in range(dims.num_slices)]  # C10
+    A = np.zeros((len(rows), beta.size + z.size))
+    for i, (cols, coef, _, _) in enumerate(rows):
+        A[i, np.ravel(cols)] = np.broadcast_to(coef, np.shape(cols)).ravel()
+    _, _, lower, upper = zip(*rows)
+    c = np.r_[-rates.ravel(), np.zeros(z.size)]
+    res = milp(c, constraints=LinearConstraint(A, lower, upper),
+               integrality=np.ones(c.size), bounds=(0, 1),
+               options={"mip_rel_gap": 1e-12})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def dense_instance(draw, reserved):
+    """A draw at the assoc-dense benchmark's size: 4 RRHs, 8 sub-carriers, 16
+    users, 3 BBUs of 3 users, one user per fronthaul link, tau 1 ms and each
+    RRH's budget spread over its cells."""
+    cfg = cli.load_config(None)
+    cfg["dims"].update(num_subcarriers=8, users_per_slice=8, bbu_user_cap=3,
+                       fronthaul_cap=1)
+    spec = cli.build_spec(cfg)
+    dims = spec.dims
+    R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
+    tau = np.full((R, K), 1e-3)
+    power = np.broadcast_to(
+        (spec.radio.max_power_per_rrh(R) / (K * N))[:, None, None], (R, K, N)).copy()
+    channel, _ = scenario.generate_instance(spec, seed=draw)
+    radio = dataclasses.replace(spec.radio, reserved_rate=np.array(reserved))
+    return tau, power, channel, dims, spec.sensing, radio
+
+
+# The three draws of 0-39 whose searches explore the most nodes (23,364,
+# 14,460 and 5,103 at the default floors), and draw 11 with a slice-0 floor
+# its unconstrained optimum (slice 0 at 14.4) misses.
+@pytest.mark.parametrize("draw,reserved", [(31, [4.0, 4.0]), (13, [4.0, 4.0]),
+                                           (11, [4.0, 4.0]), (11, [25.0, 4.0])])
+def test_dense_optimum_matches_highs(draw, reserved):
+    tau, power, channel, dims, sensing, radio = dense_instance(draw, reserved)
+    res = solve_association(tau, power, channel, dims, sensing, radio)
+    assert res.proven_optimal
+    rates = rate_table(tau, power, channel, sensing, radio)
+    oracle = highs_association(rates, dims, radio.reserved_rate_per_slice(2))
+    assert res.objective == pytest.approx(oracle, rel=1e-9)
+    if reserved[0] > 4.0:  # the floor binds: dropping it gains
+        free = dataclasses.replace(radio, reserved_rate=0.0)
+        loose = solve_association(tau, power, channel, dims, sensing, free)
+        assert loose.objective > res.objective + 1.0
+
+
 # Search fingerprints of three seeded mid-size instances: a change to the
 # bound, the branching order or the pruning must show up here.
 # (seed, R, K, Ns, omax, cmax, floor as a fraction of the best cell rate)
@@ -449,7 +519,7 @@ class FromScratchSearch:
         self.dfs(i + 1, table)
 
 
-def traced_solve(search_cls, rates, dims, floor, warm):
+def traced_solve(search_cls, rates, dims, floor, warm, node_limit=20_000):
     """solve_association on a given rate table; its answer or error, and prunes."""
     searches = []
 
@@ -465,7 +535,7 @@ def traced_solve(search_cls, rates, dims, floor, warm):
         try:
             res = solve_association(np.full((R, K), 0.02), np.zeros((R, K, N)), None,
                                     dims, make_sensing(), make_radio(rsv=floor),
-                                    node_limit=20_000, warm_start=warm)
+                                    node_limit=node_limit, warm_start=warm)
         except InfeasibleError as err:
             return type(err).__name__, err.detail, searches[-1].prune_causes
     return ((res.objective.hex(), res.nodes_explored, res.proven_optimal,
@@ -522,6 +592,30 @@ def test_search_matches_from_scratch_reference(seed, R, K, S, Ns, omax, cmax, gr
     alloc = random_alloc(dims, rng) if warm else None
     want = traced_solve(FromScratchSearch, rates, dims, rsv, alloc)
     got = traced_solve(assoc_opt._Search, rates, dims, rsv, alloc)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 3),
+       S=st.integers(1, 2), Ns=st.integers(1, 2), omax=st.integers(1, 3),
+       cmax=st.integers(0, 2), grid=st.booleans(),
+       floor=st.sampled_from([0.0, 0.1, 0.3]), warm=st.booleans(),
+       node_limit=st.sampled_from([1, 2, 3, 5, 8, 13, 30, 100]))
+def test_search_matches_from_scratch_reference_under_node_limits(
+        seed, R, K, S, Ns, omax, cmax, grid, floor, warm, node_limit):
+    # A child pruned before entry is counted as an entered one would be, so
+    # a limit that stops the search among such children cuts it at the same
+    # node, with the same prunes, incumbent or error.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=S, R=R, B=2, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    shape = (R, K, dims.num_users)
+    if grid:
+        rates = rng.choice([0.0, 0.1, 0.2, 0.3], size=shape)
+    else:
+        rates = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.8)
+    alloc = random_alloc(dims, rng) if warm else None
+    want = traced_solve(FromScratchSearch, rates, dims, floor, alloc, node_limit)
+    got = traced_solve(assoc_opt._Search, rates, dims, floor, alloc, node_limit)
     assert got == want
 
 

@@ -194,6 +194,19 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1.5, True])
+def test_fractional_or_bool_seed_exits_3(tmp_path, capsys, value):
+    # The run would otherwise use seed 1 while manifest.json records the value.
+    doc = dict(SMALL, scenario={"seed": value})
+    with pytest.raises(ConfigError, match="seed"):
+        build_spec(load_config(write_config(tmp_path, doc)))
+    out = tmp_path / "run"
+    assert main(["sweep-pfa", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,argv", [("solve", []),
                                           ("sweep-pfa", ["--trials", "1"])])
 @pytest.mark.parametrize("key,value", [

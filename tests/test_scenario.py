@@ -49,6 +49,17 @@ def test_spec_validation():
                      rrh_coords=np.full((2, 2), 5.0))  # outside the square
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, "1", float("nan")])
+def test_seed_must_be_a_whole_number(seed):
+    with pytest.raises(ValueError, match="seed"):
+        small_spec(seed=seed)
+
+
+def test_whole_float_seed_is_stored_as_int():
+    spec = small_spec(seed=3.0)
+    assert spec.seed == 3 and type(spec.seed) is int
+
+
 def test_generate_instance_deterministic():
     spec = small_spec(seed=11)
     c1, p1 = generate_instance(spec)
