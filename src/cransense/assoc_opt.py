@@ -24,8 +24,18 @@ A node applies the bound test to each child on its own table before
 entering it. A narrowed table is no larger entry by entry and numpy's sum
 is monotone, so a child this test prunes would prune itself at entry: it
 is counted as a node and a bound prune, and node_limit stops on it, as if
-it had been entered. Counts are restored after every child, so whether the
-slot's RRH has room for one more user is asked once per node.
+it had been entered. The test is monotone in the child's accumulated
+objective, and the incumbent only rises while a node runs, so once one
+child fails it, a later sibling whose objective is no higher fails it too:
+such a sibling is counted untested, in one step with the others pending
+before the next child is entered, and its += rate / -= rate round trip,
+whose rounding is part of the search's bits, is still replayed. A child
+that adds no user shares its parent's table and objective, so its entry
+test would repeat the look-ahead it has just passed, and is skipped; a
+child that adds a user narrows the table and is tested again. A slice
+already at its C10 floor needs no tail sum: the tail adds terms >= 0.
+Counts are restored after every child, so whether the slot's RRH has room
+for one more user is asked once per node.
 
 The bound and C10 prunes compare numpy's sum of the table's tail, whose
 bits decide the prunes that tie. Each table carries right-to-left suffix
@@ -33,9 +43,9 @@ sums too: for L terms >= 0 both sums lie within (L-1) 2^-53 of the exact
 one, relatively, and adding a number rounds monotonically, so a slack of
 L 2^-50 around the suffix sum brackets where numpy's sum puts the
 comparison. numpy sums only when the bracket straddles the threshold,
-which takes a near tie (none of 119,984 checks over the 40 dense tables
-of the assoc-dense benchmark at seed 0), and the search explores the same nodes, with the same
-prunes, as with numpy's sum at every node.
+which takes a near tie (none of 33,679 checks over the 40 dense tables
+of the assoc-dense benchmark at seed 0), and the search explores the same
+nodes, with the same prunes, as with numpy's sum at every node.
 """
 
 from __future__ import annotations
@@ -210,17 +220,22 @@ class _Search:
             table = self.narrowed(table, i, new_user)
         vals, vsuf, per, psuf = table
         length = self.num_slots - i
-        if _tail_below(self.obj_acc, psuf[i], length, per, i,
-                       self.best_obj + _TIE_TOL, operator.le):
+        # A child on its parent's table passed this very test in the parent.
+        if (new_user >= 0 or i == 0) and _tail_below(
+                self.obj_acc, psuf[i], length, per, i,
+                self.best_obj + _TIE_TOL, operator.le):
             self.prune_causes["bound"] += 1
             return
+        slice_acc = self.slice_acc
         for s, floor in enumerate(self.floor):
-            if _tail_below(self.slice_acc[s], vsuf[s][i], length, vals[s], i,
-                           floor, operator.lt):
+            # A met floor stays met: the tail adds terms >= 0.
+            if slice_acc[s] < floor and _tail_below(
+                    slice_acc[s], vsuf[s][i], length, vals[s], i, floor, operator.lt):
                 self.prune_causes["C10"] += 1
                 return
 
-        # Children are bound-tested on this table before entry, and RRH r's
+        # Children are bound-tested on this table before entry, a sibling at
+        # no more than a pruned child's value is pruned untested, and RRH r's
         # room for a new user is asked once (see the module docstring).
         nxt = i + 1
         tail = psuf[nxt] if nxt < self.num_slots else None
@@ -228,6 +243,8 @@ class _Search:
         rates = self.rates[i]
         assigned, counts = self.assigned, self.counts
         room = None
+        cut = -np.inf   # obj_acc + rate of the highest child pruned so far
+        pruned = 0      # children pruned and not yet counted
         for n in self.cand[i]:
             prev = assigned[n]
             if prev >= 0 and prev != r:
@@ -241,40 +258,54 @@ class _Search:
                 if not room:
                     self.prune_causes["capacity"] += 1
                     continue
-                assigned[n] = r
-                counts[r] += 1
             rate = rates[n]
             s = self.user_slice[n]
-            self.choice[i] = n
-            self.obj_acc += rate
-            self.slice_acc[s] += rate
-            if tail is not None and _tail_below(self.obj_acc, tail, length - 1, per, nxt,
+            acc = self.obj_acc + rate
+            if acc <= cut:
+                # Pruned; its += rate / -= rate drift is part of the bits.
+                self.obj_acc = acc - rate
+                slice_acc[s] = (slice_acc[s] + rate) - rate
+                pruned += 1
+                continue
+            self.obj_acc = acc
+            slice_acc[s] += rate
+            if tail is not None and _tail_below(acc, tail, length - 1, per, nxt,
                                                 self.best_obj + _TIE_TOL, operator.le):
-                self.count_pruned_child()
+                cut = acc
+                pruned += 1
             else:
+                if pruned:
+                    self.count_pruned(pruned)
+                    pruned = 0
+                self.choice[i] = n
+                if fresh:
+                    assigned[n] = r
+                    counts[r] += 1
                 self.dfs(nxt, table, n if fresh else -1)
-            self.choice[i] = -1
+                self.choice[i] = -1
+                if fresh:
+                    assigned[n] = -1
+                    counts[r] -= 1
             self.obj_acc -= rate
-            self.slice_acc[s] -= rate
-            if fresh:
-                assigned[n] = -1
-                counts[r] -= 1
+            slice_acc[s] -= rate
         # leave the slot empty
-        if tail is not None and _tail_below(self.obj_acc, tail, length - 1, per, nxt,
-                                            self.best_obj + _TIE_TOL, operator.le):
-            self.count_pruned_child()
-        else:
+        empty_pruned = self.obj_acc <= cut or (
+            tail is not None and _tail_below(self.obj_acc, tail, length - 1, per, nxt,
+                                             self.best_obj + _TIE_TOL, operator.le))
+        self.count_pruned(pruned + empty_pruned)
+        if not empty_pruned:
             self.dfs(nxt, table)
 
-    def count_pruned_child(self):
-        """Count a child as dfs would when its entry's bound test prunes it."""
+    def count_pruned(self, m=1):
+        """Count m children as dfs would when each one's entry bound test prunes it."""
         if self.hit_limit:
             return
-        self.nodes += 1
+        self.nodes += m
         if self.nodes > self.node_limit:
+            m -= self.nodes - self.node_limit
+            self.nodes = self.node_limit + 1
             self.hit_limit = True
-            return
-        self.prune_causes["bound"] += 1
+        self.prune_causes["bound"] += m
 
 
 def _suffix_sums(xs):

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .alternating import (AltConfig, best_feasible, default_initialization,
                           solve_joint)
-from .model import InfeasibleError, NetworkDims, RadioParams, SensingParams
+from .model import (InfeasibleError, NetworkDims, RadioParams, SensingParams,
+                    is_number)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
                        run_interruption_sweep, run_sweep)
 
@@ -114,13 +115,21 @@ def load_config(path: str | None, seed_override=None, trials_override=None) -> d
 
 def _per_item(value, count: int, name: str):
     """A config number, or a list of one number per sub-carrier, RRH or slice."""
-    if not isinstance(value, list):
-        return float(value)
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (count,):
+    if isinstance(value, list) and len(value) != count:
         raise ConfigError(f"{name} must be a number or a list of {count} numbers, "
                           f"got a list of {len(value)} items")
-    return arr
+    return value
+
+
+def _in_file_units(value, name: str):
+    """A number, or a list of them as an array, that the CLI converts to SI.
+
+    The library sees only the converted value, so this is where a bool, NaN
+    or string in it is refused, naming the config key."""
+    entries = value if isinstance(value, list) else [value]
+    if not all(map(is_number, entries)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return np.asarray(value, dtype=float) if isinstance(value, list) else value
 
 
 def build_spec(cfg: dict) -> ScenarioSpec:
@@ -129,17 +138,19 @@ def build_spec(cfg: dict) -> ScenarioSpec:
     try:
         dims = NetworkDims(**d)
         sensing = SensingParams(
-            target_pd=float(s["target_pd"]),
+            target_pd=s["target_pd"],
             target_pfa=_per_item(s["target_pfa"], dims.num_subcarriers,
                                  "sensing.target_pfa"),
-            hvwn_snr=10.0 ** (float(s["hvwn_snr_db"]) / 10.0),
-            sampling_freq=float(s["sampling_freq_hz"]),
-            frame_len=float(s["frame_len_ms"]) * 1e-3,
-            hvwn_active_prob=float(s["hvwn_active_prob"]))
-        max_power_dbm = _per_item(r["max_power_dbm"], dims.num_rrhs, "radio.max_power_dbm")
+            hvwn_snr=10.0 ** (_in_file_units(s["hvwn_snr_db"], "sensing.hvwn_snr_db") / 10.0),
+            sampling_freq=s["sampling_freq_hz"],
+            frame_len=_in_file_units(s["frame_len_ms"], "sensing.frame_len_ms") * 1e-3,
+            hvwn_active_prob=s["hvwn_active_prob"])
+        max_power_dbm = _in_file_units(
+            _per_item(r["max_power_dbm"], dims.num_rrhs, "radio.max_power_dbm"),
+            "radio.max_power_dbm")
         radio = RadioParams(
-            noise_power=float(r["noise_power_w"]),
-            hvwn_interference=float(r["hvwn_interference_w"]),
+            noise_power=r["noise_power_w"],
+            hvwn_interference=r["hvwn_interference_w"],
             max_power=10.0 ** (max_power_dbm / 10.0) * 1e-3,
             reserved_rate=_per_item(r["reserved_rate"], dims.num_slices,
                                     "radio.reserved_rate"))

@@ -69,6 +69,23 @@ def store_counts(obj, names, least: int = 1):
         object.__setattr__(obj, name, int(value))
 
 
+def store_reals(obj, scalars, per_item=()):
+    """Store each named field of the frozen dataclass obj as a float, and each
+    per_item field as a float or, given a list, tuple or array, a float array;
+    or raise ValueError naming the first field holding anything but finite
+    numbers, as is_number sees them."""
+    for name in (*scalars, *per_item):
+        value = getattr(obj, name)
+        many = name in per_item and isinstance(value, (list, tuple, np.ndarray))
+        entries = np.asarray(value, dtype=object).ravel() if many else [value]
+        if not all(map(is_number, entries)):
+            raise ValueError(f"{name} must be a finite number"
+                             f"{' or a list of them' if name in per_item else ''}, "
+                             f"got {value!r}")
+        object.__setattr__(obj, name, np.asarray(value, dtype=float) if many
+                           else float(value))
+
+
 @dataclass(frozen=True)
 class NetworkDims:
     """Cardinalities of the network plus BBU and fronthaul capacity limits.
@@ -124,10 +141,11 @@ class SensingParams:
     hvwn_active_prob: float
 
     def __post_init__(self):
-        pfa = np.asarray(self.target_pfa, dtype=float)
+        store_reals(self, ("target_pd", "hvwn_snr", "sampling_freq", "frame_len",
+                           "hvwn_active_prob"), per_item=("target_pfa",))
         if not (0.0 < self.target_pd < 1.0):
             raise ValueError("target_pd must be in (0, 1)")
-        if np.any(pfa <= 0.0) or np.any(pfa >= self.target_pd):
+        if np.any(self.target_pfa <= 0.0) or np.any(self.target_pfa >= self.target_pd):
             raise ValueError("target_pfa must satisfy 0 < pfa < target_pd")
         if self.hvwn_snr <= 0 or self.sampling_freq <= 0 or self.frame_len <= 0:
             raise ValueError("hvwn_snr, sampling_freq and frame_len must be positive")
@@ -152,13 +170,15 @@ class RadioParams:
     reserved_rate: float | np.ndarray = 4.0  # bps/Hz per slice
 
     def __post_init__(self):
+        store_reals(self, ("noise_power", "hvwn_interference"),
+                    per_item=("max_power", "reserved_rate"))
         if self.noise_power <= 0:
             raise ValueError("noise_power must be positive")
         if self.hvwn_interference < 0:
             raise ValueError("hvwn_interference must be >= 0")
-        if np.any(np.asarray(self.max_power, dtype=float) <= 0):
+        if np.any(self.max_power <= 0):
             raise ValueError("max_power must be positive")
-        if np.any(np.asarray(self.reserved_rate, dtype=float) < 0):
+        if np.any(self.reserved_rate < 0):
             raise ValueError("reserved_rate must be >= 0")
 
     def max_power_per_rrh(self, num_rrhs: int) -> np.ndarray:

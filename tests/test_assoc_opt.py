@@ -619,6 +619,62 @@ def test_search_matches_from_scratch_reference_under_node_limits(
     assert got == want
 
 
+@pytest.mark.parametrize("cap", [8, 1])
+def test_siblings_after_a_pruned_child_are_counted_at_every_node_limit(cap):
+    # One RRH, three slots. Slot 0 offers user 0 at 0.3 and seven users at an
+    # equal 0.1, slots 1 and 2 all eight at 0.3. At the root, and at slot 1
+    # below user 0, once the first sibling after user 0 fails the look-ahead,
+    # the other six and the empty child are counted in one step. Every node
+    # limit up to the whole search, so also the one landing on the last
+    # sibling counted and the one before it, must stop where a search
+    # entering every child stops. cap=1 turns each fresh user below the
+    # root into a capacity prune instead.
+    dims = make_dims(S=1, R=1, B=1, K=3, Ns=8, omax=cap, cmax=cap)
+    rates = np.full((1, 3, 8), 0.3)
+    rates[0, 0, 1:] = 0.1
+    full = traced_solve(assoc_opt._Search, rates, dims, 0.0, None)
+    (_, nodes, proven, _, _), prunes = full
+    assert proven and prunes["bound"] >= 8
+    assert full == traced_solve(FromScratchSearch, rates, dims, 0.0, None)
+    for node_limit in range(1, nodes + 2):
+        want = traced_solve(FromScratchSearch, rates, dims, 0.0, None, node_limit)
+        got = traced_solve(assoc_opt._Search, rates, dims, 0.0, None, node_limit)
+        assert got == want
+
+
+@pytest.mark.parametrize("seed,R,K,S,Ns", [(380, 2, 3, 2, 2), (151, 3, 3, 1, 3),
+                                           (268, 3, 3, 1, 3)])
+def test_siblings_counted_untested_keep_their_rounding(seed, R, K, S, Ns):
+    # On these draws the += rate / -= rate round trips of siblings counted
+    # without a look-ahead move obj_acc, and a later incumbent carries that
+    # in the last bit of the objective.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=S, R=R, B=2, K=K, Ns=Ns, omax=2, cmax=1)
+    rates = rng.choice([0.0, 0.1, 0.3, 0.7], size=(R, K, dims.num_users))
+    want = traced_solve(FromScratchSearch, rates, dims, 0.0, None)
+    assert traced_solve(assoc_opt._Search, rates, dims, 0.0, None) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), K=st.integers(1, 4),
+       S=st.integers(1, 2), Ns=st.integers(1, 3), omax=st.integers(1, 3),
+       cmax=st.integers(0, 2), value=st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 2.0]),
+       floor=st.sampled_from([0.0, 0.2, 0.5]), warm=st.booleans(),
+       node_limit=st.sampled_from([1, 3, 8, 30, 100, 20_000]))
+def test_search_matches_from_scratch_reference_on_one_rate_value(
+        seed, R, K, S, Ns, omax, cmax, value, floor, warm, node_limit):
+    # Every positive rate is equal, so siblings tie on their accumulated
+    # objective up to the rounding of each += rate / -= rate round trip: a
+    # sibling counted untested must be one the look-ahead would prune.
+    rng = np.random.default_rng(seed)
+    dims = make_dims(S=S, R=R, B=2, K=K, Ns=Ns, omax=omax, cmax=cmax)
+    rates = value * (rng.uniform(size=(R, K, dims.num_users)) < 0.7)
+    alloc = random_alloc(dims, rng) if warm else None
+    want = traced_solve(FromScratchSearch, rates, dims, floor, alloc, node_limit)
+    got = traced_solve(assoc_opt._Search, rates, dims, floor, alloc, node_limit)
+    assert got == want
+
+
 @pytest.mark.parametrize("bad", [-1e-3, np.nan])
 def test_negative_or_nan_rate_is_rejected(monkeypatch, bad):
     # The search's tail-sum bracket holds only for summands >= 0.

@@ -194,6 +194,27 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,section,key,value,field", [
+    ("solve", "radio", "noise_power_w", float("nan"), "noise_power"),
+    ("sweep-tau", "sensing", "frame_len_ms", float("nan"), "sensing.frame_len_ms"),
+    ("sweep-tau", "sensing", "hvwn_snr_db", True, "sensing.hvwn_snr_db"),
+    ("sweep-tau", "radio", "max_power_dbm", [30.0, True], "radio.max_power_dbm"),
+    ("solve", "radio", "hvwn_interference_w", True, "hvwn_interference"),
+    ("solve", "sensing", "target_pd", "0.9", "target_pd"),
+])
+def test_non_finite_or_non_number_value_exits_3(tmp_path, capsys, command, section,
+                                                key, value, field):
+    # NaN noise used to end solve in a traceback from step 2, a NaN frame
+    # was reported as a bad sweep grid, and a bool ran as 1.0.
+    doc = dict(SMALL)
+    doc[section] = {key: value}
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--trials", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"config error: {field} must be a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [1.5, True])
 def test_fractional_or_bool_seed_exits_3(tmp_path, capsys, value):
     # The run would otherwise use seed 1 while manifest.json records the value.

@@ -4,9 +4,9 @@ import pytest
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense.model import (Allocation, ChannelState, NetworkDims,
-                             approx_rate_cells, check_constraints,
-                             interference_map, rate_table, sinr_absent,
-                             slice_rates, total_approx_throughput)
+                             RadioParams, SensingParams, approx_rate_cells,
+                             check_constraints, interference_map, rate_table,
+                             sinr_absent, slice_rates, total_approx_throughput)
 from cransense.power_opt import _Slots
 
 
@@ -91,6 +91,43 @@ def test_sensing_params_validation():
     s = make_sensing(p1=0.1)
     assert s.idle_prob == pytest.approx(0.9)
     assert np.allclose(s.pfa_per_subcarrier(3), [0.2, 0.2, 0.2])
+
+
+SENSING_ARGS = dict(target_pd=0.9, target_pfa=0.2, hvwn_snr=0.03, sampling_freq=1e6,
+                    frame_len=0.2, hvwn_active_prob=0.1)
+RADIO_ARGS = dict(noise_power=1e-13, hvwn_interference=1e-13, max_power=1.0,
+                  reserved_rate=4.0)
+PARAM_FIELDS = ([(SensingParams, SENSING_ARGS, name) for name in SENSING_ARGS]
+                + [(RadioParams, RADIO_ARGS, name) for name in RADIO_ARGS])
+
+
+@pytest.mark.parametrize("cls,args,name", PARAM_FIELDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, False, "0.5", None])
+def test_params_reject_anything_but_a_finite_number(cls, args, name, bad):
+    # A NaN would otherwise pass every range check; a bool would count as 1.
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        cls(**dict(args, **{name: bad}))
+
+
+@pytest.mark.parametrize("cls,args,name", [(SensingParams, SENSING_ARGS, "target_pfa"),
+                                           (RadioParams, RADIO_ARGS, "max_power"),
+                                           (RadioParams, RADIO_ARGS, "reserved_rate")])
+@pytest.mark.parametrize("bad", [[0.1, np.nan], np.array([0.1, np.inf]), [0.1, True],
+                                 np.array([True, True]), [0.1, "0.2"], [0.1, [0.2]]])
+def test_per_item_params_reject_a_bad_entry(cls, args, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        cls(**dict(args, **{name: bad}))
+
+
+def test_params_store_numbers_as_floats():
+    radio = RadioParams(noise_power=1, hvwn_interference=np.int64(0),
+                        max_power=[1, 2], reserved_rate=np.float32(0.5))
+    assert type(radio.noise_power) is float and type(radio.hvwn_interference) is float
+    assert type(radio.reserved_rate) is float and radio.reserved_rate == 0.5
+    assert radio.max_power.dtype == float and radio.max_power.tolist() == [1.0, 2.0]
+    sensing = SensingParams(**dict(SENSING_ARGS, sampling_freq=10**6, target_pfa=(0.1, 0.2)))
+    assert type(sensing.sampling_freq) is float
+    assert sensing.target_pfa.tolist() == [0.1, 0.2]
 
 
 def test_radio_params_broadcasting():
