@@ -335,19 +335,16 @@ def _tail_below(acc, seq_tail, length, row, i, threshold, below):
     return below(acc + float(np.sum(row[i:])), threshold)
 
 
-def _deterministic_bbu_assignment(assigned, dims, cuts=None):
+def _deterministic_bbu_assignment(assigned, dims, cuts):
     """f consistent with C3/C7/C8 for a servable user->RRH map.
 
     Each served user, in index order, takes the lowest-index BBU whose unit
     of capacity leaves the users after it servable, which keeps the whole
-    map servable at every step. cuts is dims' cut table, built here when not
-    given, and is not written: taking a unit of BBU b's capacity and of the
-    r->b link lowers a copy's inside by b's membership column and
-    outside[:, r] by its complement, in exact integers.
+    map servable at every step. cuts is dims' cut table and is not written:
+    taking a unit of BBU b's capacity and of the r->b link lowers a copy's
+    inside by b's membership column and outside[:, r] by its complement, in
+    exact integers.
     """
-    if cuts is None:
-        cuts = _cut_table(np.full(dims.num_bbus, dims.bbu_user_cap),
-                          dims.fronthaul_cap)
     inside, outside = cuts[0].copy(), cuts[1].copy()
     member = _subsets(dims.num_bbus)
     other = 1 - member

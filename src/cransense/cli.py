@@ -107,18 +107,10 @@ def load_config(path: str | None, seed_override=None, trials_override=None) -> d
                     raise ConfigError(f"unknown key {section}.{key}")
                 merged[section][key] = val
     if seed_override is not None:
-        merged["scenario"]["seed"] = int(seed_override)
+        merged["scenario"]["seed"] = seed_override
     if trials_override is not None:
-        merged["sweep"]["trials_per_point"] = int(trials_override)
+        merged["sweep"]["trials_per_point"] = trials_override
     return merged
-
-
-def _per_item(value, count: int, name: str):
-    """A config number, or a list of one number per sub-carrier, RRH or slice."""
-    if isinstance(value, list) and len(value) != count:
-        raise ConfigError(f"{name} must be a number or a list of {count} numbers, "
-                          f"got a list of {len(value)} items")
-    return value
 
 
 def _in_file_units(value, name: str):
@@ -136,32 +128,24 @@ def build_spec(cfg: dict) -> ScenarioSpec:
     """The scenario a resolved config describes; a bad value is a ConfigError."""
     d, s, r, sc = cfg["dims"], cfg["sensing"], cfg["radio"], cfg["scenario"]
     try:
-        dims = NetworkDims(**d)
         sensing = SensingParams(
-            target_pd=s["target_pd"],
-            target_pfa=_per_item(s["target_pfa"], dims.num_subcarriers,
-                                 "sensing.target_pfa"),
+            target_pd=s["target_pd"], target_pfa=s["target_pfa"],
             hvwn_snr=10.0 ** (_in_file_units(s["hvwn_snr_db"], "sensing.hvwn_snr_db") / 10.0),
             sampling_freq=s["sampling_freq_hz"],
             frame_len=_in_file_units(s["frame_len_ms"], "sensing.frame_len_ms") * 1e-3,
             hvwn_active_prob=s["hvwn_active_prob"])
-        max_power_dbm = _in_file_units(
-            _per_item(r["max_power_dbm"], dims.num_rrhs, "radio.max_power_dbm"),
-            "radio.max_power_dbm")
+        max_power_dbm = _in_file_units(r["max_power_dbm"], "radio.max_power_dbm")
         radio = RadioParams(
             noise_power=r["noise_power_w"],
             hvwn_interference=r["hvwn_interference_w"],
             max_power=10.0 ** (max_power_dbm / 10.0) * 1e-3,
-            reserved_rate=_per_item(r["reserved_rate"], dims.num_slices,
-                                    "radio.reserved_rate"))
-        coords = sc["rrh_coords_km"]
+            reserved_rate=r["reserved_rate"])
         return ScenarioSpec(
-            dims=dims, sensing=sensing, radio=radio,
-            area_side=float(sc["area_side_km"]),
-            rrh_coords=None if coords is None else np.asarray(coords, dtype=float),
-            pathloss_exp=float(sc["pathloss_exp"]),
-            fading_mean=float(sc["fading_mean"]), seed=sc["seed"])
-    except (TypeError, ValueError) as err:
+            dims=NetworkDims(**d), sensing=sensing, radio=radio,
+            area_side=sc["area_side_km"], rrh_coords=sc["rrh_coords_km"],
+            pathloss_exp=sc["pathloss_exp"], fading_mean=sc["fading_mean"],
+            seed=sc["seed"])
+    except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
@@ -242,12 +226,6 @@ def run_command(command: str, cfg: dict, verbose: bool) -> dict[str, str]:
     spec, alt = build_spec(cfg), build_alt_config(cfg)
     if command == "solve":
         return run_solve(spec, alt, verbose)
-    # A per-item list is refused by its config key; the library checks the rest.
-    if command == "sweep-rrhs":
-        for section, key in (("radio", "max_power_dbm"), ("dims", "fronthaul_cap")):
-            if isinstance(cfg[section][key], list):
-                raise ConfigError(f"sweep-rrhs changes the RRH count, so {section}.{key} "
-                                  "must be one number")
     name = f"{command.replace('-', '_')}.csv"
     try:
         sweep = SweepSpec(_SWEEP_PARAM[command], _sweep_grid(cfg, command, spec),
@@ -275,8 +253,10 @@ def main(argv=None) -> int:
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("--quiet", action="store_true")
     verbosity.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
+    try:  # argparse exits 2 on a bad flag, which would read as "infeasible"
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        return EXIT_CONFIG if err.code else EXIT_OK
     try:
         cfg = load_config(args.config, args.seed, args.trials)
         outputs = run_command(args.command, cfg, args.verbose)

@@ -106,13 +106,15 @@ class NetworkDims:
         store_counts(self, ("num_slices", "num_rrhs", "num_bbus", "num_subcarriers",
                             "users_per_slice"))
         store_counts(self, ("bbu_user_cap",), least=0)
+        cap = np.asarray(self.fronthaul_cap, dtype=object)
+        top = np.iinfo(int).max  # what the stored int array can hold
+        if not all(is_count(value, 0) and value <= top for value in cap.flat):
+            raise ValueError(f"fronthaul_cap entries must be whole numbers from 0 to {top}, "
+                             f"got {self.fronthaul_cap!r}")
         try:
-            cap = np.broadcast_to(self.fronthaul_cap, (self.num_rrhs, self.num_bbus))
+            cap = np.broadcast_to(cap, (self.num_rrhs, self.num_bbus))
         except ValueError:
             raise ValueError("fronthaul_cap must have shape (R, B)") from None
-        if cap.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(cap) & (cap >= 0) & (np.floor(cap) == cap)):
-            raise ValueError("fronthaul_cap entries must be whole numbers >= 0")
         object.__setattr__(self, "fronthaul_cap", cap.astype(int))
 
     @property

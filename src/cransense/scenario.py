@@ -37,7 +37,7 @@ from .alternating import (AltConfig, best_feasible, default_initialization,
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     check_constraints, is_count, is_number, rate_table,
-                    store_counts)
+                    store_counts, store_reals)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -58,17 +58,25 @@ class ScenarioSpec:
 
     def __post_init__(self):
         store_counts(self, ("seed",), least=0)
+        store_reals(self, ("area_side", "pathloss_exp", "fading_mean"),
+                    per_item=("rrh_coords",) if self.rrh_coords is not None else ())
         if self.area_side <= 0 or self.pathloss_exp <= 0 or self.fading_mean <= 0:
             raise ValueError("area_side, pathloss_exp and fading_mean must be positive")
-        coords = self.rrh_coords
-        if coords is None:
-            coords = default_rrh_coords(self.dims.num_rrhs, self.area_side)
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dims.num_rrhs, 2):
+        dims = self.dims
+        for name, value, count in (
+                ("sensing.target_pfa", self.sensing.target_pfa, dims.num_subcarriers),
+                ("radio.max_power", self.radio.max_power, dims.num_rrhs),
+                ("radio.reserved_rate", self.radio.reserved_rate, dims.num_slices)):
+            if np.shape(value) not in ((), (count,)):
+                raise ValueError(f"{name} must be one number or a list of {count}, "
+                                 f"got shape {np.shape(value)}")
+        if self.rrh_coords is None:
+            object.__setattr__(self, "rrh_coords",
+                               default_rrh_coords(dims.num_rrhs, self.area_side))
+        if np.shape(self.rrh_coords) != (dims.num_rrhs, 2):
             raise ValueError("rrh_coords must have shape (R, 2)")
-        if np.any(coords < 0) or np.any(coords > self.area_side):
+        if np.any(self.rrh_coords < 0) or np.any(self.rrh_coords > self.area_side):
             raise ValueError("rrh_coords must lie inside the square")
-        object.__setattr__(self, "rrh_coords", coords)
 
 
 @dataclass(frozen=True)

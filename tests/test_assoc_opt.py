@@ -125,7 +125,7 @@ def test_bbu_assignment_meets_capacities(rng):
                     assigned = np.full(N, -1)
                     users = rng.permutation(N)[:counts.sum()]
                     assigned[users] = np.repeat(np.arange(R), counts)
-                    f = assoc_opt._deterministic_bbu_assignment(assigned, dims)
+                    f = assoc_opt._deterministic_bbu_assignment(assigned, dims, cuts)
                     x = np.zeros((N, R), dtype=int)
                     x[users, assigned[users]] = 1
                     alloc = Allocation(sensing_time=np.full((R, 1), 0.1),

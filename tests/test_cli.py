@@ -179,6 +179,7 @@ def test_per_item_config_values(tmp_path):
     ("dims", "num_rrhs", True),
     ("dims", "bbu_user_cap", 1.5),
     ("dims", "fronthaul_cap", 1.5),
+    ("dims", "fronthaul_cap", [True, 1, 1]),         # broadcasts to R x B = 4 x 3
 ])
 def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     doc = dict(SMALL)
@@ -191,7 +192,9 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     assert code == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # The library names max_power_dbm by its field, max_power.
+    assert "config error" in err and key.removesuffix("_dbm") in err
 
 
 @pytest.mark.parametrize("command,section,key,value,field", [
@@ -201,11 +204,15 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     ("sweep-tau", "radio", "max_power_dbm", [30.0, True], "radio.max_power_dbm"),
     ("solve", "radio", "hvwn_interference_w", True, "hvwn_interference"),
     ("solve", "sensing", "target_pd", "0.9", "target_pd"),
+    ("sweep-pfa", "scenario", "area_side_km", True, "area_side"),
+    ("sweep-pfa", "scenario", "pathloss_exp", "3", "pathloss_exp"),
+    ("sweep-pfa", "scenario", "fading_mean", float("nan"), "fading_mean"),
+    ("sweep-pfa", "scenario", "rrh_coords_km", [[0.5, 0.5], [True, 1.5]], "rrh_coords"),
 ])
 def test_non_finite_or_non_number_value_exits_3(tmp_path, capsys, command, section,
                                                 key, value, field):
     # NaN noise used to end solve in a traceback from step 2, a NaN frame
-    # was reported as a bad sweep grid, and a bool ran as 1.0.
+    # was reported as a bad sweep grid, and a bool or string ran as a number.
     doc = dict(SMALL)
     doc[section] = {key: value}
     out = tmp_path / "run"
@@ -258,12 +265,14 @@ def test_per_item_value_a_command_cannot_use_exits_3(tmp_path, capsys, command,
     assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
-    assert key in capsys.readouterr().err
+    # SweepSpec names max_power_dbm by its field, max_power.
+    assert key.removesuffix("_dbm") in capsys.readouterr().err
 
 
 def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
     # The sweep rebuilds fronthaul_cap for every RRH count; a per-link matrix
     # has no value for the RRHs it adds, so it is refused, not flattened.
+    # A uniform one means the same as one number and runs.
     doc = dict(SMALL)
     doc["dims"] = dict(SMALL["dims"], fronthaul_cap=[[1, 2], [3, 4]])
     doc["sweep"] = {"grid": [2, 3], "trials_per_point": 1}
@@ -272,6 +281,9 @@ def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
     assert "fronthaul_cap" in capsys.readouterr().err
+    doc["dims"]["fronthaul_cap"] = [[4, 4], [4, 4]]
+    assert main(["sweep-rrhs", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
 
 
 def test_sweep_rrhs_rejects_pinned_rrh_coords(tmp_path, capsys):
@@ -317,6 +329,18 @@ def test_bad_sweep_section_exits_3(tmp_path, capsys, command, sweep, argv):
     assert not (out / "manifest.json").exists()
     assert not out.exists()
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--seed", "abc"],
+                                  ["sweep-pfa", "--trials", "1.5"],
+                                  ["no-such-command"], ["solve", "--no-such-flag"]])
+def test_bad_command_line_exits_3(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, is the code for an infeasible problem.
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
 
 
 def test_default_interruption_grid_spans_the_frame(tmp_path):

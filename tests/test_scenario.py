@@ -47,6 +47,20 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(dims=dims, sensing=make_sensing(), radio=make_radio(),
                      rrh_coords=np.full((2, 2), 5.0))  # outside the square
+    for name, value in (("area_side", True), ("pathloss_exp", "3"),
+                        ("fading_mean", np.nan), ("rrh_coords", [[0.5, 0.5], [True, 1.5]])):
+        with pytest.raises(ValueError, match=name):
+            ScenarioSpec(dims=dims, sensing=make_sensing(), radio=make_radio(),
+                         **{name: value})
+    # A per-item value holds one entry per sub-carrier, RRH or slice (K = R =
+    # S = 2 here); another length is refused before anything is drawn.
+    base = {"dims": dims, "sensing": make_sensing(), "radio": make_radio()}
+    for part, name in (({"sensing": make_sensing(pfa=np.array([0.1, 0.2, 0.3]))},
+                        "target_pfa"),
+                       ({"radio": make_radio(pmax=np.ones(3))}, "max_power"),
+                       ({"radio": make_radio(rsv=np.zeros((1, 2)))}, "reserved_rate")):
+        with pytest.raises(ValueError, match=name):
+            ScenarioSpec(**{**base, **part})
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, "1", float("nan")])
