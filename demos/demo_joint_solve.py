@@ -2,33 +2,25 @@
 
 Builds the default network (4 RRHs, 3 BBUs, 2 slices of 8 users, 16
 sub-carriers over a 2 km x 2 km square), generates one channel draw, and
-runs the three-block alternation until the objective stalls. The trajectory
-is non-decreasing by construction: step 1 keeps the current associations
-feasible, step 2 is seeded with the incumbent allocation, and step 3 only
-takes feasible ascent steps.
+runs the three-block alternation from the greedy start until the objective
+stalls, as `cransense solve` does. The trajectory is non-decreasing by
+construction: step 1 keeps the current associations feasible, step 2 is
+seeded with the incumbent allocation, and step 3 only takes feasible ascent
+steps.
 
 Run:  python3 demos/demo_joint_solve.py
 """
 
 import numpy as np
 
-from cransense import (AltConfig, check_constraints, default_initialization,
-                       generate_instance, solve_joint,
-                       total_approx_throughput)
+from cransense import check_constraints, generate_instance, solve_instance
 from cransense.cli import build_spec, load_config
 
 
 def main():
     spec = build_spec(load_config(None))  # library defaults
     channel, positions = generate_instance(spec)
-    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
-                                  user_positions=positions,
-                                  rrh_coords=spec.rrh_coords)
-    obj0 = total_approx_throughput(init, channel, spec.sensing, spec.radio)
-    print(f"initial greedy allocation: {obj0:.2f} bps/Hz summed over cells")
-
-    alloc, report = solve_joint(init, channel, spec.dims, spec.sensing,
-                                spec.radio, AltConfig())
+    alloc, report = solve_instance(spec, channel, positions)
 
     print(f"converged: {report.converged} after {report.iterations} outer "
           f"iterations")

@@ -17,8 +17,8 @@ from .model import (Allocation, ChannelState, InfeasibleError, NetworkDims,
                     SolveReport, UnattainableTargetError, check_constraints,
                     sinr_absent, total_approx_throughput)
 from .power_opt import PowerIterate, PowerSolveResult, solve_power
-from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
-                       optimal_sensing_time, run_interruption_sweep, run_sweep)
+from .scenario import (ScenarioSpec, SweepSpec, generate_instance, optimal_sensing_time,
+                       run_interruption_sweep, run_sweep, solve_instance)
 from .sensing import (alpha, detection_probability, interruption_probability,
                       min_samples, min_samples_count)
 from .sensing_opt import SensingSolveResult, solve_sensing

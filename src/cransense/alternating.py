@@ -63,7 +63,8 @@ def minimal_feasible_tau(channel: ChannelState, sensing: SensingParams) -> np.nd
     gsum = g.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where((b <= 0) | (gsum <= 0), floor, np.clip(b / gsum, floor, lmax))
-    tau = np.tile(lam ** 2 / sensing.sampling_freq, (g.shape[0], 1))
+    tau = np.tile(np.minimum(lam ** 2 / sensing.sampling_freq, sensing.frame_len),
+                  (g.shape[0], 1))  # lmax ** 2 / nu can round past T
     attainable = (gsum > 0) & (lam < lmax)
     for _ in range(_MAX_TAU_STEPS):
         pd = detection_probability(tau, sensing.sampling_freq, sensing.hvwn_snr, g,

@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alternating import (AltConfig, best_feasible, default_initialization,
-                          solve_joint)
+from .alternating import AltConfig
 from .model import (InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     is_number)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
-                       run_interruption_sweep, run_sweep)
+                       run_interruption_sweep, run_sweep, solve_instance)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -113,15 +112,20 @@ def load_config(path: str | None, seed_override=None, trials_override=None) -> d
     return merged
 
 
-def _in_file_units(value, name: str):
-    """A number, or a list of them as an array, that the CLI converts to SI.
-
-    The library sees only the converted value, so this is where a bool, NaN
-    or string in it is refused, naming the config key."""
+def _in_file_units(value, name: str, db: bool = False):
+    """A number, or a list of them as an array, that the CLI converts to SI;
+    with db, 10^(value / 10) of it. The library sees only the converted
+    value, so this is where a bool, NaN or string in it, or a dB value past
+    the float range, is refused, naming the config key."""
     entries = value if isinstance(value, list) else [value]
     if not all(map(is_number, entries)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return np.asarray(value, dtype=float) if isinstance(value, list) else value
+    number = np.asarray(value, dtype=float) if isinstance(value, list) else value
+    try:
+        with np.errstate(over="raise"):
+            return 10.0 ** (number / 10.0) if db else number
+    except ArithmeticError:  # a Python float's OverflowError, numpy's FloatingPointError
+        raise ConfigError(f"{name} = {value!r} dB overflows a float") from None
 
 
 def build_spec(cfg: dict) -> ScenarioSpec:
@@ -130,15 +134,15 @@ def build_spec(cfg: dict) -> ScenarioSpec:
     try:
         sensing = SensingParams(
             target_pd=s["target_pd"], target_pfa=s["target_pfa"],
-            hvwn_snr=10.0 ** (_in_file_units(s["hvwn_snr_db"], "sensing.hvwn_snr_db") / 10.0),
+            hvwn_snr=_in_file_units(s["hvwn_snr_db"], "sensing.hvwn_snr_db", db=True),
             sampling_freq=s["sampling_freq_hz"],
             frame_len=_in_file_units(s["frame_len_ms"], "sensing.frame_len_ms") * 1e-3,
             hvwn_active_prob=s["hvwn_active_prob"])
-        max_power_dbm = _in_file_units(r["max_power_dbm"], "radio.max_power_dbm")
         radio = RadioParams(
             noise_power=r["noise_power_w"],
             hvwn_interference=r["hvwn_interference_w"],
-            max_power=10.0 ** (max_power_dbm / 10.0) * 1e-3,
+            max_power=_in_file_units(r["max_power_dbm"], "radio.max_power_dbm",
+                                     db=True) * 1e-3,
             reserved_rate=r["reserved_rate"])
         return ScenarioSpec(
             dims=NetworkDims(**d), sensing=sensing, radio=radio,
@@ -194,11 +198,7 @@ _SWEEP_PARAM = {"sweep-tau": "tau", "sweep-pd": "target_pd",
 
 def run_solve(spec: ScenarioSpec, alt: AltConfig, verbose: bool) -> dict[str, str]:
     channel, positions = generate_instance(spec)
-    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
-                                  user_positions=positions,
-                                  rrh_coords=spec.rrh_coords)
-    alloc, report = best_feasible([solve_joint(init, channel, spec.dims, spec.sensing,
-                                               spec.radio, alt)])
+    alloc, report = solve_instance(spec, channel, positions, alt)
     rows = [{"iteration": i + 1, "objective": obj, "max_residual": res}
             for i, (obj, res) in enumerate(zip(report.objective_trajectory,
                                                report.residual_trajectory))]

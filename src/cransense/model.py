@@ -54,18 +54,19 @@ def is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def is_count(value, least: int = 1) -> bool:
-    """A whole number >= least, as is_number sees numbers."""
-    return is_number(value) and float(value).is_integer() and value >= least
+def is_count(value, least: int = 1, most: float = math.inf) -> bool:
+    """A whole number from least to most, as is_number sees numbers."""
+    return is_number(value) and float(value).is_integer() and least <= value <= most
 
 
-def store_counts(obj, names, least: int = 1):
+def store_counts(obj, names, least: int = 1, most: float = math.inf):
     """Store each named field of the frozen dataclass obj as an int, or raise
-    ValueError naming the first one that is not a whole number >= least."""
+    ValueError naming the first one that is_count(value, least, most) refuses."""
     for name in names:
         value = getattr(obj, name)
-        if not is_count(value, least):
-            raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+        if not is_count(value, least, most):
+            bound = f">= {least}" if most == math.inf else f"from {least} to {most}"
+            raise ValueError(f"{name} must be a whole number {bound}, got {value!r}")
         object.__setattr__(obj, name, int(value))
 
 
@@ -90,8 +91,8 @@ def store_reals(obj, scalars, per_item=()):
 class NetworkDims:
     """Cardinalities of the network plus BBU and fronthaul capacity limits.
 
-    Every count is a whole number (stored as int); fronthaul_cap is one
-    count per (RRH, BBU) link, or anything that broadcasts to (R, B).
+    Every count is a whole number up to the int64 maximum, stored as int;
+    fronthaul_cap is one per (RRH, BBU) link or broadcasts to (R, B).
     """
 
     num_slices: int
@@ -103,12 +104,12 @@ class NetworkDims:
     fronthaul_cap: np.ndarray  # (R, B) integer user counts
 
     def __post_init__(self):
+        top = np.iinfo(int).max  # what a stored int array can hold
         store_counts(self, ("num_slices", "num_rrhs", "num_bbus", "num_subcarriers",
-                            "users_per_slice"))
-        store_counts(self, ("bbu_user_cap",), least=0)
+                            "users_per_slice"), most=top)
+        store_counts(self, ("bbu_user_cap",), least=0, most=top)
         cap = np.asarray(self.fronthaul_cap, dtype=object)
-        top = np.iinfo(int).max  # what the stored int array can hold
-        if not all(is_count(value, 0) and value <= top for value in cap.flat):
+        if not all(is_count(value, 0, top) for value in cap.flat):
             raise ValueError(f"fronthaul_cap entries must be whole numbers from 0 to {top}, "
                              f"got {self.fronthaul_cap!r}")
         try:

@@ -36,8 +36,8 @@ from .alternating import (AltConfig, best_feasible, default_initialization,
                           minimal_feasible_tau, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
-                    check_constraints, is_count, is_number, rate_table,
-                    store_counts, store_reals)
+                    SolveReport, check_constraints, is_count, is_number,
+                    rate_table, store_counts, store_reals)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -366,34 +366,41 @@ def _mean_stderr(values):
     return float(arr.mean()), stderr
 
 
+def solve_instance(spec: ScenarioSpec, channel: ChannelState, positions: np.ndarray,
+                   config: AltConfig = AltConfig(), warm: Optional[Allocation] = None
+                   ) -> tuple[Allocation, SolveReport]:
+    """Solve one instance of spec from each start; best_feasible's pick.
+
+    The starts are the greedy one by user position and warm, if given; with
+    warm, a greedy start that breaks a constraint is skipped (every block
+    falls back from it). InfeasibleError when no solve ends feasible. Solves
+    go through this module's solve_joint binding, so a wrapper sees each.
+    """
+    dims, sensing, radio = spec.dims, spec.sensing, spec.radio
+    init = default_initialization(channel, dims, sensing, radio,
+                                  user_positions=positions, rrh_coords=spec.rrh_coords)
+    starts = [init]
+    if warm is not None:
+        residuals = check_constraints(init, dims, radio, sensing, channel)
+        starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
+    return best_feasible([solve_joint(start, channel, dims, sensing, radio, config)
+                          for start in starts])
+
+
 def run_sweep(sweep: SweepSpec, solver_config: AltConfig = AltConfig()) -> list[dict]:
     """Execute one sweep; returns one result row per grid point.
 
+    Each trial walks the whole grid on its own seed (common random numbers).
     Per-trial infeasibility never aborts the sweep: failed trials are
     dropped from the mean and counted in the row's infeasible_trials.
     """
-    rows = []
-    base = sweep.base
-    # What each trial carries from one grid point to the next: its instance
-    # where the swept value does not change it, its last answer in the
-    # users sweep.
-    carry: dict[int, object] = {}
-
-    for value in sweep.grid:
-        samples, infeasible = [], 0
-        for trial in range(sweep.trials_per_point):
-            seed = base.seed + trial
-            try:
-                samples.append(_sweep_point(sweep.swept_parameter, value, base,
-                                            seed, solver_config, carry, trial))
-            except InfeasibleError:
-                infeasible += 1
-        mean, stderr = _mean_stderr(samples)
-        rows.append(_sweep_row(sweep.swept_parameter, value, mean, stderr, infeasible))
-    return rows
+    points = zip(*[_trial(sweep, sweep.base.seed + t, solver_config)
+                   for t in range(sweep.trials_per_point)])
+    return [_sweep_row(sweep.swept_parameter, value, samples)
+            for value, samples in zip(sweep.grid, points)]
 
 
-def _pad_users(alloc: Allocation, old_ns: int, dims: NetworkDims) -> Allocation:
+def _pad_users(alloc: Allocation, dims: NetworkDims) -> Allocation:
     """Embed an allocation for fewer users per slice into a larger user space.
 
     User (s, i) keeps its draws when users_per_slice grows (instances are
@@ -401,12 +408,11 @@ def _pad_users(alloc: Allocation, old_ns: int, dims: NetworkDims) -> Allocation:
     the new users reproduces the smaller solution exactly -- same objective,
     same residuals.
     """
-    S, new_ns, N = dims.num_slices, dims.users_per_slice, dims.num_users
-    idx = np.concatenate([s * new_ns + np.arange(old_ns) for s in range(S)])
-    R, K = alloc.power.shape[0], alloc.power.shape[1]
-    power = np.zeros((R, K, N))
+    N, old_ns = dims.num_users, len(alloc.rrh_assoc) // dims.num_slices
+    idx = np.flatnonzero(np.arange(N) % dims.users_per_slice < old_ns)
+    power = np.zeros(alloc.power.shape[:2] + (N,))
     power[:, :, idx] = alloc.power
-    uav = np.zeros((R, K, N), dtype=int)
+    uav = np.zeros(alloc.uav.shape[:2] + (N,), dtype=int)
     uav[:, :, idx] = alloc.uav
     x = np.zeros((N, alloc.rrh_assoc.shape[1]), dtype=int)
     x[idx] = alloc.rrh_assoc
@@ -416,53 +422,50 @@ def _pad_users(alloc: Allocation, old_ns: int, dims: NetworkDims) -> Allocation:
                       uav=uav, rrh_assoc=x, bbu_assoc=f, linkage=None)
 
 
-def _sweep_point(param, value, base: ScenarioSpec, seed, cfg: AltConfig,
-                 carry: dict, trial: int) -> float:
+def _trial(sweep: SweepSpec, seed: int, config: AltConfig) -> list:
+    """One trial's sample at each grid point of sweep, None where that point
+    is infeasible."""
+    param, base = sweep.swept_parameter, sweep.base
     if param in ("tau", "target_pd", "target_pfa"):
         # The swept value moves only tau, so the trial's instance and its
         # greedy association and powers serve every grid point.
-        if trial not in carry:
-            channel, _ = generate_instance(base, seed=seed)
-            carry[trial] = channel, default_initialization(
-                channel, base.dims, base.sensing, base.radio)
-        channel, init = carry[trial]
-        if param == "tau":
-            return evaluate_fixed_tau_throughput(value, channel, base.dims,
-                                                 base.sensing, base.radio, init)
-        sensing = dataclasses.replace(base.sensing, **{param: value})
-        return optimal_sensing_time(channel, base.dims, sensing, base.radio, init)
-    if param == "num_rrhs":
-        spec = _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
-        channel, _ = generate_instance(spec, seed=seed)
-        return optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
-    # num_users
-    spec = _with_dims(base, users_per_slice=value)
-    channel, positions = generate_instance(spec, seed=seed)
-    init = default_initialization(channel, spec.dims, spec.sensing, spec.radio,
-                                  user_positions=positions, rrh_coords=spec.rrh_coords)
-    # Instances are nested in the user count, so the trial's answer at the
-    # previous grid point embeds here with the same objective. Solving from
-    # it and from the fresh init (unsolved, the init cannot be ranked: new
-    # users earn rate only once a solve powers them) and keeping the better
-    # feasible answer makes the trial's throughput non-decreasing along the
-    # grid; with none the trial is infeasible. An init that breaks a
-    # constraint is skipped when the carry exists: every block falls back
-    # from it. The solves go through this module's solve_joint binding, so a
-    # caller that wraps it sees every one.
-    starts = [init]
-    prev = carry.get(trial)
-    if prev is not None:
-        warm = _pad_users(prev[1], prev[0], spec.dims)
-        residuals = check_constraints(init, spec.dims, spec.radio, spec.sensing, channel)
-        starts = [init, warm] if max(residuals.values()) <= FEASIBILITY_TOL else [warm]
-    alloc, report = best_feasible([
-        solve_joint(start, channel, spec.dims, spec.sensing, spec.radio, cfg)
-        for start in starts])
-    carry[trial] = (spec.dims.users_per_slice, alloc)
-    return report.objective_trajectory[-1]
+        channel, _ = generate_instance(base, seed=seed)
+        init = default_initialization(channel, base.dims, base.sensing, base.radio)
+    samples, last = [], None
+    for value in sweep.grid:
+        try:
+            if param == "tau":
+                sample = evaluate_fixed_tau_throughput(value, channel, base.dims,
+                                                       base.sensing, base.radio, init)
+            elif param in ("target_pd", "target_pfa"):
+                sensing = dataclasses.replace(base.sensing, **{param: value})
+                sample = optimal_sensing_time(channel, base.dims, sensing, base.radio, init)
+            elif param == "num_rrhs":
+                spec = _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
+                channel, _ = generate_instance(spec, seed=seed)
+                sample = optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
+            else:
+                # Instances are nested in the user count, so the trial's last
+                # answer embeds here with the same objective. Solving from it
+                # as one more start (unsolved, the greedy start cannot be
+                # ranked: new users earn rate only once a solve powers them)
+                # makes each trial's throughput non-decreasing along the grid.
+                spec = _with_dims(base, users_per_slice=value)
+                channel, positions = generate_instance(spec, seed=seed)
+                warm = None if last is None else _pad_users(last, spec.dims)
+                last, report = solve_instance(spec, channel, positions, config, warm)
+                sample = report.objective_trajectory[-1]
+        except InfeasibleError:
+            sample = None
+        samples.append(sample)
+    return samples
 
 
-def _sweep_row(param, value, mean, stderr, infeasible) -> dict:
+def _sweep_row(param, value, samples) -> dict:
+    """One grid point's row from its samples in trial order, None if infeasible."""
+    done = [x for x in samples if x is not None]
+    mean, stderr = _mean_stderr(done)
+    infeasible = len(samples) - len(done)
     if param == "tau":
         return {"tau_ms": value * 1e3, "mean_throughput": mean,
                 "stderr": stderr, "infeasible_trials": infeasible}

@@ -84,13 +84,12 @@ def min_samples_count(alpha_k: float, target_pfa: float, target_pd: float) -> in
 
 
 def interruption_probability(tau, params: SensingParams, num_rrhs: int,
-                             num_trials: int, seed: int = 0,
-                             gain_sampler=None) -> float | np.ndarray:
+                             num_trials: int, seed: int = 0) -> float | np.ndarray:
     """Monte-Carlo probability that targets cannot be met within tau.
 
     Each trial draws the sensing gains of one sub-carrier across all RRHs
-    (|h^HU|^2 ~ Exp(1) by default, matching the unit-variance complex
-    Gaussian coefficient) and applies a uniform tau at every RRH; the trial
+    (|h^HU|^2 ~ Exp(1), matching the unit-variance complex Gaussian
+    coefficient) and applies a uniform tau at every RRH; the trial
     is an interruption when the cooperative detection probability falls
     below target_pd. Deterministic given the seed. tau is a scalar, giving
     a float, or an array, giving one probability per entry, all from the
@@ -107,11 +106,7 @@ def interruption_probability(tau, params: SensingParams, num_rrhs: int,
         raise ValueError("tau must lie in (0, frame_len]")
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    if gain_sampler is None:
-        gains = rng.exponential(1.0, size=(num_trials, num_rrhs))
-    else:
-        gains = np.asarray(gain_sampler(rng, num_trials, num_rrhs), dtype=float)
+    gains = np.random.default_rng(seed).exponential(1.0, size=(num_trials, num_rrhs))
 
     # Q is strictly decreasing, so pd < target_pd exactly when the trial's
     # sensing statistic falls below the detection threshold b.

@@ -29,7 +29,6 @@ _MAX_DUAL_ITERS = 80  # dual-ascent steps on the slice multipliers
 
 @dataclass
 class SensingSolveResult:
-    lam: np.ndarray        # (R, K), sqrt(samples)
     tau: np.ndarray        # (R, K), seconds
     objective: float       # total approximated throughput at the solution
     kkt_residual: float
@@ -228,9 +227,9 @@ def solve_sensing(alloc: Allocation, channel: ChannelState, dims: NetworkDims,
                                                "certified": certified})
 
     lam, objective = best
-    tau = lam ** 2 / nu
+    tau = np.minimum(lam ** 2 / nu, T)  # lmax ** 2 / nu can round past T
     c1_resid = float(np.max(np.clip(b - (lam * gains).sum(axis=0), 0.0, None)))
     box_resid = float(max(np.max(np.clip(lam - lmax, 0.0, None)),
                           np.max(np.clip(floor - lam, 0.0, None))))
-    return SensingSolveResult(lam=lam, tau=tau, objective=objective,
+    return SensingSolveResult(tau=tau, objective=objective,
                               kkt_residual=max(c1_resid, box_resid))

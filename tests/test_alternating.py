@@ -86,6 +86,17 @@ def test_minimal_feasible_tau_meets_target_exactly(target_pd):
         assert np.all(np.abs(tau[0] / closed - 1.0) <= 1e-14)
 
 
+def test_minimal_feasible_tau_clamped_to_the_frame():
+    # At nu = 1.5 Hz no sub-carrier can meet its target: lambda clips to
+    # lmax = sqrt(T * nu), and lmax ** 2 / nu rounds one ulp past T = 0.2 s.
+    dims = make_dims(R=4, K=16)
+    sensing = make_sensing(nu=1.5)
+    channel = stable_channel(dims, np.random.default_rng(0))
+    lmax = np.sqrt(sensing.frame_len * sensing.sampling_freq)
+    assert lmax ** 2 / sensing.sampling_freq > sensing.frame_len
+    assert np.all(minimal_feasible_tau(channel, sensing) == sensing.frame_len)
+
+
 def test_default_initialization_is_feasible(rng):
     dims = make_dims()
     sensing = make_sensing()

@@ -94,6 +94,27 @@ def test_infeasible_run_exits_2_without_manifest(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_sensing_time_never_rounds_past_the_frame(tmp_path, capsys):
+    # At 1.5 Hz no sub-carrier meets its target within the frame. The start's
+    # sensing time used to round one ulp past the frame, and step 2 ended
+    # the run in a ValueError traceback (exit 1).
+    doc = dict(SMALL, sensing={"sampling_freq_hz": 1.5})
+    cfg, out = write_config(tmp_path, doc), tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+    assert not out.exists()
+    assert "infeasible: every solve ends violating" in capsys.readouterr().err
+    assert main(["sweep-users", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    rows = (out / "sweep_users.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["2", "2", "2"]
+    # At 3 Hz and 10 dB the targets hold with some RRHs sensing the whole
+    # frame, where step 1's sensing time used to round past it.
+    doc["sensing"] = {"sampling_freq_hz": 3.0, "hvwn_snr_db": 10.0}
+    out = tmp_path / "run3"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert np.max(json.loads((out / "allocation.json").read_text())["tau_ms"]) == 200.0
+
+
 def test_sweep_tau_rerun_is_byte_identical(tmp_path, capsys):
     doc = dict(SMALL)
     doc["sweep"] = {"grid": [0.02, 0.05, 0.1], "trials_per_point": 3}
@@ -180,6 +201,12 @@ def test_per_item_config_values(tmp_path):
     ("dims", "bbu_user_cap", 1.5),
     ("dims", "fronthaul_cap", 1.5),
     ("dims", "fronthaul_cap", [True, 1, 1]),         # broadcasts to R x B = 4 x 3
+    # Past the int64 maximum, or past the float range once out of dB.
+    ("dims", "bbu_user_cap", 1e300),
+    ("dims", "num_slices", 1e300),
+    ("sensing", "hvwn_snr_db", 1e300),
+    ("radio", "max_power_dbm", 1e300),
+    ("radio", "max_power_dbm", [30.0, 1e300]),
 ])
 def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     doc = dict(SMALL)

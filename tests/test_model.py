@@ -70,7 +70,8 @@ def test_dims_counts_are_whole_numbers():
                         ("users_per_slice", np.nan), ("bbu_user_cap", 1.5),
                         ("bbu_user_cap", -1), ("fronthaul_cap", [[1, 0.5], [1, 1]]),
                         ("fronthaul_cap", -1), ("fronthaul_cap", "2"),
-                        ("fronthaul_cap", [[True, 1], [1, 1]])):
+                        ("fronthaul_cap", [[True, 1], [1, 1]]),
+                        ("num_slices", 2.0 ** 63), ("bbu_user_cap", 1e300)):
         with pytest.raises(ValueError, match=name):
             NetworkDims(**dict(args, **{name: value}))
     dims = NetworkDims(**dict(args, num_rrhs=2.0, bbu_user_cap=np.int64(0),

@@ -326,6 +326,26 @@ def test_property_iterates_feasible_monotone_and_clean(R, K, Ns, seed, floor, o1
     assert traj[0] >= float(base.sum()) - 1e-9 * (1.0 + abs(float(base.sum())))
 
 
+def test_slice_weights_lift_binding_floors():
+    # Floors at 90 % of the start's slice rates: every block move that gains
+    # overall costs some slice its floor. Raising the short slice's weight
+    # steers the next blocks towards it; without that raise, this solve
+    # stays at the start's 2.34 and ends unconverged.
+    rng = np.random.default_rng(2)
+    dims, sensing = np_dims(), make_sensing()
+    channel = random_channel(dims, rng)
+    alloc = random_alloc(dims, rng)
+    start = slice_rates(approx_rate_cells(alloc, channel, sensing, make_radio()), dims)
+    radio = make_radio(rsv=0.9 * start)
+    res = solve_power(alloc.uav, alloc.sensing_time, alloc.power, channel, dims,
+                      sensing, radio)
+    assert res.converged
+    assert res.true_objective == pytest.approx(9.778868730134391, rel=1e-9)
+    alloc.power = res.power
+    rates = slice_rates(approx_rate_cells(alloc, channel, sensing, radio), dims)
+    assert np.all(rates >= radio.reserved_rate)
+
+
 def test_solve_stops_when_weights_cannot_unblock_the_floors():
     # Both slices start exactly at their floors and every block move trades
     # one slice's rate for the other's: the slice weights only climb, so

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import (make_dims, make_radio, make_sensing, random_alloc,
                       random_channel)
 from cransense import alternating, scenario
-from cransense.alternating import default_initialization, solve_joint
-from cransense.cli import build_alt_config, build_spec, load_config
+from cransense.alternating import AltConfig, default_initialization, solve_joint
+from cransense.cli import build_alt_config, build_spec, load_config, run_solve
 from cransense.model import (ChannelState, InfeasibleError,
                              total_approx_throughput)
 from cransense.scenario import (ScenarioSpec, SweepSpec, default_rrh_coords,
@@ -582,6 +582,29 @@ def test_users_sweep_serves_the_added_users():
                       trials_per_point=3, base=small_spec(seed=1))
     rows = run_sweep(sweep)
     assert rows[1]["mean_throughput"] > 1.01 * rows[0]["mean_throughput"]
+
+
+def test_every_joint_solve_goes_through_the_scenario_binding(monkeypatch):
+    # The benchmark records joint solves by wrapping scenario.solve_joint, so
+    # the CLI's solve and the users sweep must call it once per start.
+    starts, solve = [], scenario.solve_joint
+
+    def recording(initial, *args):
+        starts.append(initial)
+        return solve(initial, *args)
+
+    monkeypatch.setattr(scenario, "solve_joint", recording)
+    spec = small_spec(seed=1)
+    run_solve(spec, AltConfig(), verbose=False)
+    assert len(starts) == 1
+    starts.clear()
+    rows = run_sweep(SweepSpec("num_users", (1, 3), 1, spec))
+    assert rows[1]["infeasible_trials"] == 0
+    # One greedy start at 1 user per slice; at 3, the greedy start and the
+    # padded 1-user answer, whose added users are idle.
+    assert [start.rrh_assoc.shape[0] for start in starts] == [2, 6, 6]
+    assert starts[1].rrh_assoc[[1, 2, 4, 5]].any()
+    assert not starts[2].rrh_assoc[[1, 2, 4, 5]].any()
 
 
 def test_infeasible_start_is_not_a_converged_sample():

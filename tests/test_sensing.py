@@ -158,13 +158,12 @@ def test_interruption_takes_a_tau_array():
         interruption_probability(np.array([0.01, 0.3]), params, 2, 10)
 
 
-def test_interruption_custom_sampler():
-    params = make_sensing()
-    # Gains large enough that detection always succeeds.
-    p = interruption_probability(
-        0.05, params, num_rrhs=2, num_trials=100,
-        gain_sampler=lambda rng, t, r: np.full((t, r), 50.0))
-    assert p == 0.0
+def test_interruption_vanishes_with_strong_sensing():
+    # At 0.1 ms nearly every draw is interrupted at -15 dB; at a sensing SNR
+    # of 40 dB every draw meets the targets.
+    args = dict(num_rrhs=2, num_trials=1000)
+    assert interruption_probability(1e-4, make_sensing(), **args) > 0.9
+    assert interruption_probability(1e-4, make_sensing(snr_db=40.0), **args) == 0.0
 
 
 def test_interruption_per_subcarrier_target_pfa():

@@ -194,6 +194,27 @@ def test_solution_meets_detection_target(rng):
         assert res.kkt_residual <= 1e-9
 
 
+def test_sensing_time_at_lmax_stays_in_the_frame():
+    # At nu = 3 Hz the detection target pins some RRHs at lmax = sqrt(T * nu),
+    # and lmax ** 2 / nu rounds one ulp past T = 0.2 s; such a tau used to
+    # end the joint solve in step 2's ValueError.
+    dims, radio = make_dims(R=2, K=3, Ns=2), make_radio()
+    sensing = make_sensing(nu=3.0, snr_db=10.0)
+    lmax = lambda_box(sensing)[1]
+    assert lmax ** 2 / sensing.sampling_freq > sensing.frame_len
+    rng = np.random.default_rng(21)
+    at_frame_end = 0
+    for _ in range(20):
+        channel, alloc = random_channel(dims, rng), random_alloc(dims, rng)
+        try:
+            res = solve_sensing(alloc, channel, dims, sensing, radio)
+        except InfeasibleError:
+            continue
+        assert np.all(res.tau <= sensing.frame_len)
+        at_frame_end += int(np.any(res.tau == sensing.frame_len))
+    assert at_frame_end > 0
+
+
 def test_objective_consistent_with_throughput(rng):
     dims, sensing, radio, channel, alloc = small_problem(rng)
     res = solve_sensing(alloc, channel, dims, sensing, radio)
