@@ -96,52 +96,39 @@ def default_initialization(channel: ChannelState, dims: NetworkDims,
         mean_gain = channel.downlink_gain.mean(axis=1)  # (R, N)
         pref = np.argsort(-mean_gain.T, axis=1)
 
-    x = np.zeros((N, R), dtype=int)
-    f = np.zeros((N, B), dtype=int)
-    link_used = np.zeros((R, B), dtype=int)
-    bbu_used = np.zeros(B, dtype=int)
-    for n in range(N):
-        for r in pref[n]:
+    cap, bbu_cap = dims.fronthaul_cap.tolist(), dims.bbu_user_cap
+    link_used, bbu_used = [[0] * B for _ in range(R)], [0] * B
+    rrh_of, bbu_of = [-1] * N, [-1] * N  # -1: unserved
+    for n, prefs in enumerate(pref.tolist()):
+        for r in prefs:
             b_ok = next((b for b in range(B)
-                         if link_used[r, b] < dims.fronthaul_cap[r, b]
-                         and bbu_used[b] < dims.bbu_user_cap), None)
+                         if link_used[r][b] < cap[r][b] and bbu_used[b] < bbu_cap), None)
             if b_ok is not None:
-                x[n, r] = 1
-                f[n, b_ok] = 1
-                link_used[r, b_ok] += 1
+                rrh_of[n], bbu_of[n] = r, b_ok
+                link_used[r][b_ok] += 1
                 bbu_used[b_ok] += 1
                 break
+    x = (np.array(rrh_of)[:, None] == np.arange(R)).astype(int)
+    f = (np.array(bbu_of)[:, None] == np.arange(B)).astype(int)
 
     # Hand each slot to the best-gain user of the currently least-served
     # slice, so every slice starts with airtime and the slice-rate floors
-    # have a fighting chance before the first exact association solve.
-    user_slice = dims.user_slice
-    slice_slots = [0] * dims.num_slices
-    beta = np.zeros((R, K, N), dtype=int)
-    for r in range(R):
-        users_r = np.flatnonzero(x[:, r])
-        if users_r.size == 0:
-            continue
-        # Best-gain user of each slice on every sub-carrier, by slice index;
-        # ties go to the lowest user index.
-        best = {}
-        for s in np.unique(user_slice[users_r]).tolist():
-            cands = users_r[user_slice[users_r] == s]
-            best[s] = cands[channel.downlink_gain[r][:, cands].argmax(axis=1)].tolist()
-        chosen = []
-        for k in range(K):
-            s_min = min(best, key=slice_slots.__getitem__)
-            chosen.append(best[s_min][k])
+    # have a fighting chance before the first exact association solve. Each
+    # slice's best user of each slot (lowest index on a tie) is one argmax.
+    S, Ns = dims.num_slices, dims.users_per_slice
+    served = x.T.reshape(R, 1, S, Ns).astype(bool)
+    gains = np.where(served, channel.downlink_gain.reshape(R, K, S, Ns), -np.inf)
+    best = (gains.argmax(axis=3) + Ns * np.arange(S)).tolist()  # (R, K, S)
+    slice_slots = [0] * S
+    slot_user = [[-1] * K for _ in range(R)]  # -1: idle
+    for r, present in enumerate(served.any(axis=3)[:, 0].tolist()):
+        slices = [s for s in range(S) if present[s]]  # visited in index order
+        for k in range(K) if slices else ():
+            s_min = min(slices, key=slice_slots.__getitem__)
+            slot_user[r][k] = best[r][k][s_min]
             slice_slots[s_min] += 1
-        beta[r, np.arange(K), chosen] = 1
-
-    pmax = radio.max_power_per_rrh(R)
-    power = np.zeros((R, K, N))
-    for r in range(R):
-        active = beta[r] > 0
-        cnt = int(active.sum())
-        if cnt:
-            power[r][active] = pmax[r] / cnt
+    beta = (np.array(slot_user)[..., None] == np.arange(N)).astype(int)
+    power = beta * (radio.max_power_per_rrh(R) / K)[:, None, None]  # a used RRH fills all K
 
     return Allocation(sensing_time=minimal_feasible_tau(channel, sensing), power=power,
                       uav=beta, rrh_assoc=x, bbu_assoc=f, linkage=None)

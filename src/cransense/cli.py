@@ -115,17 +115,17 @@ def load_config(path: str | None, seed_override=None, trials_override=None) -> d
 def _in_file_units(value, name: str, db: bool = False):
     """A number, or a list of them as an array, that the CLI converts to SI;
     with db, 10^(value / 10) of it. The library sees only the converted
-    value, so this is where a bool, NaN or string in it, or a dB value past
-    the float range, is refused, naming the config key."""
+    value, so this is where a bool, NaN or string in it, or a value past
+    the float range (once converted, for dB), is refused, naming the key."""
     entries = value if isinstance(value, list) else [value]
     if not all(map(is_number, entries)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    number = np.asarray(value, dtype=float) if isinstance(value, list) else value
     try:
         with np.errstate(over="raise"):
+            number = np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
             return 10.0 ** (number / 10.0) if db else number
     except ArithmeticError:  # a Python float's OverflowError, numpy's FloatingPointError
-        raise ConfigError(f"{name} = {value!r} dB overflows a float") from None
+        raise ConfigError(f"{name} = {value!r} overflows a float") from None
 
 
 def build_spec(cfg: dict) -> ScenarioSpec:

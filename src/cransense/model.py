@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,14 +50,14 @@ class UnattainableTargetError(ValueError):
 
 
 def is_number(value) -> bool:
-    """A finite real number that is not a bool."""
+    """A finite real number that is not a bool; an int of any size."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def is_count(value, least: int = 1, most: float = math.inf) -> bool:
     """A whole number from least to most, as is_number sees numbers."""
-    return is_number(value) and float(value).is_integer() and least <= value <= most
+    return is_number(value) and value % 1 == 0 and least <= value <= most
 
 
 def store_counts(obj, names, least: int = 1, most: float = math.inf):
@@ -74,12 +75,13 @@ def store_reals(obj, scalars, per_item=()):
     """Store each named field of the frozen dataclass obj as a float, and each
     per_item field as a float or, given a list, tuple or array, a float array;
     or raise ValueError naming the first field holding anything but finite
-    numbers, as is_number sees them."""
+    numbers, as is_number sees them, within the float range."""
     for name in (*scalars, *per_item):
         value = getattr(obj, name)
         many = name in per_item and isinstance(value, (list, tuple, np.ndarray))
         entries = np.asarray(value, dtype=object).ravel() if many else [value]
-        if not all(map(is_number, entries)):
+        if not all(is_number(v) and (not isinstance(v, numbers.Integral)
+                                     or abs(v) <= sys.float_info.max) for v in entries):
             raise ValueError(f"{name} must be a finite number"
                              f"{' or a list of them' if name in per_item else ''}, "
                              f"got {value!r}")
@@ -308,17 +310,20 @@ def idle_coeff(tau: np.ndarray, sensing: SensingParams) -> np.ndarray:
     return (T - tau) / T * sensing.idle_prob * (1.0 - pfa)
 
 
+def log_rate_absent(power: np.ndarray, channel: ChannelState, radio: RadioParams) -> np.ndarray:
+    """log2(1 + SINR0) of every cell as if it were assigned, (R, K, N)."""
+    inter = interference_map(power, channel.downlink_gain)
+    return np.log2(1.0 + sinr_absent(power, channel.downlink_gain, inter, radio.noise_power))
+
+
 def rate_table(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
                sensing: SensingParams, radio: RadioParams) -> np.ndarray:
     """Idle-dominant rate of every cell as if it were assigned, (R, K, N).
 
     idle_coeff * log2(1 + SINR0); an allocation's per-cell throughput is
-    this table masked by its beta. A stack (..., R, K) of sensing times
-    gives the stack (..., R, K, N) of tables from one SINR evaluation.
+    this table masked by its beta.
     """
-    inter = interference_map(power, channel.downlink_gain)
-    g0 = sinr_absent(power, channel.downlink_gain, inter, radio.noise_power)
-    return idle_coeff(tau, sensing)[..., None] * np.log2(1.0 + g0)
+    return idle_coeff(tau, sensing)[..., None] * log_rate_absent(power, channel, radio)
 
 
 def approx_rate_cells(alloc: Allocation, channel: ChannelState,

@@ -36,8 +36,8 @@ from .alternating import (AltConfig, best_feasible, default_initialization,
                           minimal_feasible_tau, solve_joint)
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
-                    SolveReport, check_constraints, is_count, is_number,
-                    rate_table, store_counts, store_reals)
+                    SolveReport, check_constraints, idle_coeff, is_count,
+                    is_number, log_rate_absent, store_counts, store_reals)
 from .sensing import detection_probability, interruption_probability
 
 _MIN_USER_RRH_DIST_KM = 1e-3
@@ -62,6 +62,11 @@ class ScenarioSpec:
                     per_item=("rrh_coords",) if self.rrh_coords is not None else ())
         if self.area_side <= 0 or self.pathloss_exp <= 0 or self.fading_mean <= 0:
             raise ValueError("area_side, pathloss_exp and fading_mean must be positive")
+        try:  # generate_instance keeps every user this far from every RRH
+            _MIN_USER_RRH_DIST_KM ** -self.pathloss_exp
+        except OverflowError:
+            raise ValueError(f"pathloss_exp {self.pathloss_exp!r} overflows the path gain "
+                             "at the 1 m minimum distance") from None
         dims = self.dims
         for name, value, count in (
                 ("sensing.target_pfa", self.sensing.target_pfa, dims.num_subcarriers),
@@ -107,9 +112,9 @@ class SweepSpec:
                     dataclasses.replace(base.sensing, **{param: value})
                 except ValueError as err:
                     raise ValueError(f"{param} grid value {value!r}: {err}") from None
-            if param in ("num_users", "num_rrhs") and not is_count(value):
-                raise ValueError(f"{param} grid values must be whole numbers >= 1, "
-                                 f"got {grid}")
+            if param in ("num_users", "num_rrhs") and not is_count(value, most=np.iinfo(int).max):
+                raise ValueError(f"{param} grid values must be whole numbers from 1 to "
+                                 f"{np.iinfo(int).max}, got {grid}")
         if param == "num_rrhs":  # every RRH count gets the default layout and links
             default = default_rrh_coords(base.dims.num_rrhs, base.area_side)
             for name, per_rrh in (
@@ -283,8 +288,10 @@ def _fixed_tau_scores(taus: np.ndarray, channel: ChannelState, base: Allocation,
     and whether each sub-carrier meets target_pd there, met (M, K).
 
     A sub-carrier that misses its target is interrupted: zero rate. It does
-    not interfere with the others, so one rate table of base scores every
-    tau. A cell without a user carries no power.
+    not interfere with the others, so one log-rate table of base scores
+    every tau; a cell without a user carries no power. The 0/1 masks scale
+    the small factors before the one (M, R, K, N) product: times 1 is exact
+    and times 0 is +0, so every cell keeps the bits of a rate masked after.
     """
     M = taus.size
     # One uniform (R, K) sensing time per tau, stored tau-major: each slab
@@ -295,9 +302,8 @@ def _fixed_tau_scores(taus: np.ndarray, channel: ChannelState, base: Allocation,
                                sensing.hvwn_snr, channel.sensing_gain_sq[:, None, :],
                                sensing.target_pfa)  # (M, K)
     met = pd >= sensing.target_pd
-    power = base.power * (base.uav > 0)
-    cells = base.uav * met[:, None, :, None] * rate_table(stack, power, channel,
-                                                          sensing, radio)
+    rates = base.uav * log_rate_absent(base.power * (base.uav > 0), channel, radio)
+    cells = (idle_coeff(stack, sensing) * met[:, None, :])[..., None] * rates
     return cells.reshape(M, -1).sum(axis=1), met
 
 
@@ -394,7 +400,8 @@ def run_sweep(sweep: SweepSpec, solver_config: AltConfig = AltConfig()) -> list[
     Per-trial infeasibility never aborts the sweep: failed trials are
     dropped from the mean and counted in the row's infeasible_trials.
     """
-    points = zip(*[_trial(sweep, sweep.base.seed + t, solver_config)
+    specs = [_point_spec(sweep.base, sweep.swept_parameter, v) for v in sweep.grid]
+    points = zip(*[_trial(sweep, specs, sweep.base.seed + t, solver_config)
                    for t in range(sweep.trials_per_point)])
     return [_sweep_row(sweep.swept_parameter, value, samples)
             for value, samples in zip(sweep.grid, points)]
@@ -422,9 +429,20 @@ def _pad_users(alloc: Allocation, dims: NetworkDims) -> Allocation:
                       uav=uav, rrh_assoc=x, bbu_assoc=f, linkage=None)
 
 
-def _trial(sweep: SweepSpec, seed: int, config: AltConfig) -> list:
-    """One trial's sample at each grid point of sweep, None where that point
-    is infeasible."""
+def _point_spec(base: ScenarioSpec, param: str, value) -> ScenarioSpec:
+    """The scenario at one grid point of a sweep of param over base."""
+    if param == "tau":
+        return base
+    if param == "num_rrhs":
+        return _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
+    if param == "num_users":
+        return _with_dims(base, users_per_slice=value)
+    return dataclasses.replace(base, sensing=dataclasses.replace(base.sensing, **{param: value}))
+
+
+def _trial(sweep: SweepSpec, specs: list, seed: int, config: AltConfig) -> list:
+    """One trial's sample at each grid point of sweep, whose scenarios are
+    specs, None where that point is infeasible."""
     param, base = sweep.swept_parameter, sweep.base
     if param in ("tau", "target_pd", "target_pfa"):
         # The swept value moves only tau, so the trial's instance and its
@@ -432,25 +450,22 @@ def _trial(sweep: SweepSpec, seed: int, config: AltConfig) -> list:
         channel, _ = generate_instance(base, seed=seed)
         init = default_initialization(channel, base.dims, base.sensing, base.radio)
     samples, last = [], None
-    for value in sweep.grid:
+    for value, spec in zip(sweep.grid, specs):
+        dims, sensing, radio = spec.dims, spec.sensing, spec.radio
         try:
             if param == "tau":
-                sample = evaluate_fixed_tau_throughput(value, channel, base.dims,
-                                                       base.sensing, base.radio, init)
+                sample = evaluate_fixed_tau_throughput(value, channel, dims, sensing, radio, init)
             elif param in ("target_pd", "target_pfa"):
-                sensing = dataclasses.replace(base.sensing, **{param: value})
-                sample = optimal_sensing_time(channel, base.dims, sensing, base.radio, init)
+                sample = optimal_sensing_time(channel, dims, sensing, radio, init)
             elif param == "num_rrhs":
-                spec = _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
                 channel, _ = generate_instance(spec, seed=seed)
-                sample = optimal_sensing_time(channel, spec.dims, spec.sensing, spec.radio)
+                sample = optimal_sensing_time(channel, dims, sensing, radio)
             else:
                 # Instances are nested in the user count, so the trial's last
                 # answer embeds here with the same objective. Solving from it
                 # as one more start (unsolved, the greedy start cannot be
                 # ranked: new users earn rate only once a solve powers them)
                 # makes each trial's throughput non-decreasing along the grid.
-                spec = _with_dims(base, users_per_slice=value)
                 channel, positions = generate_instance(spec, seed=seed)
                 warm = None if last is None else _pad_users(last, spec.dims)
                 last, report = solve_instance(spec, channel, positions, config, warm)
@@ -465,18 +480,11 @@ def _sweep_row(param, value, samples) -> dict:
     """One grid point's row from its samples in trial order, None if infeasible."""
     done = [x for x in samples if x is not None]
     mean, stderr = _mean_stderr(done)
-    infeasible = len(samples) - len(done)
-    if param == "tau":
-        return {"tau_ms": value * 1e3, "mean_throughput": mean,
-                "stderr": stderr, "infeasible_trials": infeasible}
-    if param in ("target_pd", "target_pfa"):
-        return {param: value, "opt_tau_ms": mean * 1e3,
-                "stderr_ms": stderr * 1e3, "infeasible_trials": infeasible}
-    if param == "num_users":
-        return {"num_users": int(value), "mean_throughput": mean,
-                "stderr": stderr, "infeasible_trials": infeasible}
-    return {"num_rrhs": int(value), "opt_tau_ms": mean * 1e3,
-            "stderr_ms": stderr * 1e3, "infeasible_trials": infeasible}
+    point = {"tau": {"tau_ms": value * 1e3}, "num_users": {param: int(value)},
+             "num_rrhs": {param: int(value)}}.get(param, {param: value})
+    stats = ({"mean_throughput": mean, "stderr": stderr} if param in ("tau", "num_users")
+             else {"opt_tau_ms": mean * 1e3, "stderr_ms": stderr * 1e3})
+    return {**point, **stats, "infeasible_trials": len(samples) - len(done)}
 
 
 def run_interruption_sweep(spec: ScenarioSpec, tau_grid, num_trials: int) -> list[dict]:

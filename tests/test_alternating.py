@@ -274,6 +274,92 @@ def test_default_initialization_matches_slot_loop(seed):
     assert np.array_equal(init.power, beta * share[:, None, None])
 
 
+def reference_initialization(channel, dims, radio, user_positions=None, rrh_coords=None):
+    """default_initialization's rrh_assoc, bbu_assoc, uav and power as its
+    plain per-user and per-RRH loops computed them, on numpy scalars."""
+    R, K, N, B = dims.num_rrhs, dims.num_subcarriers, dims.num_users, dims.num_bbus
+    if user_positions is not None and rrh_coords is not None:
+        d = np.linalg.norm(user_positions[:, None, :] - np.asarray(rrh_coords)[None, :, :],
+                           axis=2)
+        pref = np.argsort(d, axis=1)
+    else:
+        mean_gain = channel.downlink_gain.mean(axis=1)  # (R, N)
+        pref = np.argsort(-mean_gain.T, axis=1)
+
+    x = np.zeros((N, R), dtype=int)
+    f = np.zeros((N, B), dtype=int)
+    link_used = np.zeros((R, B), dtype=int)
+    bbu_used = np.zeros(B, dtype=int)
+    for n in range(N):
+        for r in pref[n]:
+            b_ok = next((b for b in range(B)
+                         if link_used[r, b] < dims.fronthaul_cap[r, b]
+                         and bbu_used[b] < dims.bbu_user_cap), None)
+            if b_ok is not None:
+                x[n, r] = 1
+                f[n, b_ok] = 1
+                link_used[r, b_ok] += 1
+                bbu_used[b_ok] += 1
+                break
+
+    user_slice = dims.user_slice
+    slice_slots = [0] * dims.num_slices
+    beta = np.zeros((R, K, N), dtype=int)
+    for r in range(R):
+        users_r = np.flatnonzero(x[:, r])
+        if users_r.size == 0:
+            continue
+        best = {}
+        for s in np.unique(user_slice[users_r]).tolist():
+            cands = users_r[user_slice[users_r] == s]
+            best[s] = cands[channel.downlink_gain[r][:, cands].argmax(axis=1)].tolist()
+        chosen = []
+        for k in range(K):
+            s_min = min(best, key=slice_slots.__getitem__)
+            chosen.append(best[s_min][k])
+            slice_slots[s_min] += 1
+        beta[r, np.arange(K), chosen] = 1
+
+    pmax = radio.max_power_per_rrh(R)
+    power = np.zeros((R, K, N))
+    for r in range(R):
+        active = beta[r] > 0
+        cnt = int(active.sum())
+        if cnt:
+            power[r][active] = pmax[r] / cnt
+    return x, f, beta, power
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 6), S=st.integers(1, 3),
+       Ns=st.integers(1, 4), B=st.integers(1, 3), K=st.integers(1, 4),
+       tied=st.booleans(), by_position=st.booleans())
+def test_default_initialization_matches_reference_loops(seed, R, S, Ns, B, K, tied,
+                                                        by_position):
+    # Caps of 0-2 users per link and up to 2 Ns per BBU leave users unserved
+    # and RRHs empty; gains on a 3-level grid and positions on a 3 x 3 grid
+    # make ties common.
+    rng = np.random.default_rng(seed)
+    dims = NetworkDims(num_slices=S, num_rrhs=R, num_bbus=B, num_subcarriers=K,
+                       users_per_slice=Ns, bbu_user_cap=int(rng.integers(0, 2 * Ns + 1)),
+                       fronthaul_cap=rng.integers(0, 3, size=(R, B)))
+    N = dims.num_users
+    gains = (rng.integers(1, 4, size=(R, K, N)) * 1e-10 if tied
+             else rng.exponential(1e-10, size=(R, K, N)))
+    channel = ChannelState(downlink_gain=gains,
+                           sensing_gain_sq=rng.exponential(1.0, (R, K)) + 0.2)
+    radio = make_radio(pmax=rng.uniform(0.5, 2.0, R))
+    where = {}
+    if by_position:
+        grid = (lambda size: rng.integers(0, 3, size=size) * 0.5) if tied else rng.uniform
+        where = dict(user_positions=grid(size=(N, 2)), rrh_coords=grid(size=(R, 2)))
+    init = default_initialization(channel, dims, make_sensing(), radio, **where)
+    for got, want in zip((init.rrh_assoc, init.bbu_assoc, init.uav, init.power),
+                         reference_initialization(channel, dims, radio, **where)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def checked_solve(channel, dims, radio):
     """solve_joint from the default start, with the properties every solve has.
 

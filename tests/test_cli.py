@@ -207,6 +207,12 @@ def test_per_item_config_values(tmp_path):
     ("sensing", "hvwn_snr_db", 1e300),
     ("radio", "max_power_dbm", 1e300),
     ("radio", "max_power_dbm", [30.0, 1e300]),
+    # A 400-digit integer: past the int64 maximum, or past the float range.
+    ("dims", "num_rrhs", 10**400),
+    ("sensing", "frame_len_ms", 10**400),
+    ("radio", "max_power_dbm", 10**400),
+    # Its path gain at the 1 m minimum distance overflows a float.
+    ("scenario", "pathloss_exp", 1e300),
 ])
 def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     doc = dict(SMALL)
@@ -222,6 +228,32 @@ def test_bad_config_values_exit_3(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     # The library names max_power_dbm by its field, max_power.
     assert "config error" in err and key.removesuffix("_dbm") in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-tau", "sweep-pd", "sweep-pfa",
+                                     "sweep-users", "sweep-rrhs", "interruption"])
+@pytest.mark.parametrize("section,key,value", [("dims", "num_rrhs", 10**400),
+                                               ("scenario", "pathloss_exp", 1e300)])
+def test_overflowing_values_exit_3_on_every_command(tmp_path, capsys, command,
+                                                    section, key, value):
+    # Both once ended in OverflowError: is_number on the integer, and
+    # generate_instance's path gain d ** -pathloss_exp.
+    doc = dict(SMALL)
+    doc[section] = {key: value}
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--trials", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_seed_of_any_size_runs(tmp_path):
+    doc = dict(SMALL, scenario={"seed": 10**400})
+    assert build_spec(load_config(write_config(tmp_path, doc))).seed == 10**400
+    out = tmp_path / "run"
+    assert main(["sweep-pfa", "--config", write_config(tmp_path, doc), "--trials", "1",
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 10**400
 
 
 @pytest.mark.parametrize("command,section,key,value,field", [

@@ -71,7 +71,8 @@ def test_dims_counts_are_whole_numbers():
                         ("bbu_user_cap", -1), ("fronthaul_cap", [[1, 0.5], [1, 1]]),
                         ("fronthaul_cap", -1), ("fronthaul_cap", "2"),
                         ("fronthaul_cap", [[True, 1], [1, 1]]),
-                        ("num_slices", 2.0 ** 63), ("bbu_user_cap", 1e300)):
+                        ("num_slices", 2.0 ** 63), ("bbu_user_cap", 1e300),
+                        ("num_rrhs", 10**400), ("fronthaul_cap", [[1, 10**400], [1, 1]])):
         with pytest.raises(ValueError, match=name):
             NetworkDims(**dict(args, **{name: value}))
     dims = NetworkDims(**dict(args, num_rrhs=2.0, bbu_user_cap=np.int64(0),
@@ -104,9 +105,11 @@ PARAM_FIELDS = ([(SensingParams, SENSING_ARGS, name) for name in SENSING_ARGS]
 
 
 @pytest.mark.parametrize("cls,args,name", PARAM_FIELDS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, False, "0.5", None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, False, "0.5", None,
+                                 10**400, -(10**400)])
 def test_params_reject_anything_but_a_finite_number(cls, args, name, bad):
-    # A NaN would otherwise pass every range check; a bool would count as 1.
+    # A NaN would otherwise pass every range check; a bool would count as 1;
+    # an int past the float range would end in OverflowError.
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         cls(**dict(args, **{name: bad}))
 
@@ -115,7 +118,8 @@ def test_params_reject_anything_but_a_finite_number(cls, args, name, bad):
                                            (RadioParams, RADIO_ARGS, "max_power"),
                                            (RadioParams, RADIO_ARGS, "reserved_rate")])
 @pytest.mark.parametrize("bad", [[0.1, np.nan], np.array([0.1, np.inf]), [0.1, True],
-                                 np.array([True, True]), [0.1, "0.2"], [0.1, [0.2]]])
+                                 np.array([True, True]), [0.1, "0.2"], [0.1, [0.2]],
+                                 [0.1, 10**400]])
 def test_per_item_params_reject_a_bad_entry(cls, args, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         cls(**dict(args, **{name: bad}))

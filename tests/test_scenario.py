@@ -458,7 +458,8 @@ def test_sweep_spec_validation():
         SweepSpec(swept_parameter="tau", grid=(0.1,), trials_per_point=0,
                   base=spec)
     for param, grid in (("num_users", (1.5,)), ("num_users", (1, 2.5)),
-                        ("num_rrhs", (0, 2)), ("num_rrhs", (2.000001,))):
+                        ("num_rrhs", (0, 2)), ("num_rrhs", (2.000001,)),
+                        ("num_users", (1, 10**400)), ("num_rrhs", (2, 2**63))):
         with pytest.raises(ValueError, match="whole numbers"):
             SweepSpec(param, grid, 1, spec)
     assert SweepSpec("num_users", (1, 2.0), 1, spec).grid == (1, 2.0)
@@ -563,6 +564,20 @@ def test_sweep_draws_each_trial_instance_once(monkeypatch, param, grid):
     assert len(starts) == 3
     # A one-point sweep draws its instances afresh: same rows, same bits.
     assert rows == [run_sweep(SweepSpec(param, (v,), 3, spec))[0] for v in grid]
+
+
+@pytest.mark.parametrize("param,grid", [("num_rrhs", (1, 2, 3)), ("num_users", (1, 2))])
+def test_sweep_builds_each_grid_point_spec_once(monkeypatch, param, grid):
+    # Every trial walks the same grid, so a point's spec serves all of them.
+    built, with_dims = [], scenario._with_dims
+
+    def counting(spec, **updates):
+        built.append(updates)
+        return with_dims(spec, **updates)
+
+    monkeypatch.setattr(scenario, "_with_dims", counting)
+    rows = run_sweep(SweepSpec(param, grid, 3, small_spec(seed=2)))
+    assert len(built) == len(grid) and len(rows) == len(grid)
 
 
 def test_users_sweep_throughput_grows():
