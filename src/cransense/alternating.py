@@ -196,7 +196,6 @@ def solve_joint(initial: Allocation, channel: ChannelState, dims: NetworkDims,
         report.objective_trajectory.append(obj)
         report.constraint_residuals = check_constraints(alloc, dims, radio, sensing, channel)
         report.residual_trajectory.append(max(report.constraint_residuals.values()))
-        report.iterations = it + 1
         if abs(obj - prev_obj) <= config.epsilon:
             report.converged = True
             break

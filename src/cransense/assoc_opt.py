@@ -78,6 +78,13 @@ class AssocSolveResult:
 _MAX_BBUS = 16  # the cut table has 2^B rows
 
 
+def check_bbu_count(num_bbus: int):
+    """ValueError, naming num_bbus, when the capacity test cannot take it."""
+    if num_bbus > _MAX_BBUS:
+        raise ValueError(f"num_bbus={num_bbus} exceeds {_MAX_BBUS}: the "
+                         "capacity test enumerates all 2^num_bbus BBU subsets")
+
+
 def _subsets(B):
     """(2^B, B) 0/1 membership: row Y holds BBU b when bit b of Y is set."""
     return (np.arange(2 ** B)[:, None] >> np.arange(B)) & 1
@@ -384,9 +391,7 @@ def solve_association(tau: np.ndarray, power: np.ndarray, channel: ChannelState,
     when num_bbus exceeds 16 (the capacity test enumerates every BBU
     subset) or when warm_start.uav is not (R, K, N).
     """
-    if dims.num_bbus > _MAX_BBUS:
-        raise ValueError(f"num_bbus={dims.num_bbus} exceeds {_MAX_BBUS}: the "
-                         "capacity test enumerates all 2^num_bbus BBU subsets")
+    check_bbu_count(dims.num_bbus)
     R, K, N = dims.num_rrhs, dims.num_subcarriers, dims.num_users
     rates_rkn = rate_table(tau, power, channel, sensing, radio)
     rsv = radio.reserved_rate_per_slice(dims.num_slices)

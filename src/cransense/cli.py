@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .alternating import AltConfig
+from .assoc_opt import check_bbu_count
 from .model import (InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     is_number)
 from .scenario import (ScenarioSpec, SweepSpec, generate_instance,
@@ -75,8 +76,6 @@ class ConfigError(Exception):
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value)) if not isinstance(value, bool) else str(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -176,24 +175,16 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sweep_grid(cfg, command, spec):
-    """The config's grid, or the command's default when the config pins none."""
-    if cfg["sweep"]["grid"] is not None:
-        return cfg["sweep"]["grid"]
-    T = spec.sensing.frame_len
-    return {
-        "sweep-tau": list(np.linspace(T / 50, T, 50)),
-        "sweep-pd": [0.8, 0.85, 0.9, 0.95, 0.99],
-        "sweep-pfa": [0.1, 0.2, 0.3],
-        "sweep-users": [4, 8, 12],
-        "sweep-rrhs": [2, 4, 6],
-        "interruption": list(np.linspace(T / 20, T, 20)),
-    }[command]
-
-
-_SWEEP_PARAM = {"sweep-tau": "tau", "sweep-pd": "target_pd",
-                "sweep-pfa": "target_pfa", "sweep-users": "num_users",
-                "sweep-rrhs": "num_rrhs", "interruption": "tau"}
+# Each sweep command: the parameter it sweeps and its default grid given the
+# frame length T, for a config that pins no grid.
+SWEEP_COMMANDS = {
+    "sweep-tau": ("tau", lambda T: list(np.linspace(T / 50, T, 50))),
+    "sweep-pd": ("target_pd", lambda T: [0.8, 0.85, 0.9, 0.95, 0.99]),
+    "sweep-pfa": ("target_pfa", lambda T: [0.1, 0.2, 0.3]),
+    "sweep-users": ("num_users", lambda T: [4, 8, 12]),
+    "sweep-rrhs": ("num_rrhs", lambda T: [2, 4, 6]),
+    "interruption": ("tau", lambda T: list(np.linspace(T / 20, T, 20))),
+}
 
 
 def run_solve(spec: ScenarioSpec, alt: AltConfig, verbose: bool) -> dict[str, str]:
@@ -225,14 +216,19 @@ def run_command(command: str, cfg: dict, verbose: bool) -> dict[str, str]:
     value is checked before anything is drawn; a bad one is a ConfigError."""
     spec, alt = build_spec(cfg), build_alt_config(cfg)
     if command == "solve":
+        try:
+            check_bbu_count(spec.dims.num_bbus)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         return run_solve(spec, alt, verbose)
+    param, default_grid = SWEEP_COMMANDS[command]
+    grid, trials = cfg["sweep"]["grid"], cfg["sweep"]["trials_per_point"]
+    grid = default_grid(spec.sensing.frame_len) if grid is None else grid
     name = f"{command.replace('-', '_')}.csv"
     try:
-        sweep = SweepSpec(_SWEEP_PARAM[command], _sweep_grid(cfg, command, spec),
-                          cfg["sweep"]["trials_per_point"], spec)
         if command == "interruption":
-            return {name: csv_text(run_interruption_sweep(spec, sweep.grid,
-                                                          sweep.trials_per_point))}
+            return {name: csv_text(run_interruption_sweep(spec, grid, trials))}
+        sweep = SweepSpec(param, grid, trials, spec)
     except ValueError as err:
         raise ConfigError(f"sweep: {err}") from err
     return {name: csv_text(run_sweep(sweep, alt))}
@@ -242,9 +238,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cransense",
         description="Joint sensing-time and C-RAN resource allocation experiments")
-    parser.add_argument("command",
-                        choices=["solve", "sweep-tau", "sweep-pd", "sweep-pfa",
-                                 "sweep-users", "sweep-rrhs", "interruption"])
+    parser.add_argument("command", choices=["solve", *SWEEP_COMMANDS])
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed override")

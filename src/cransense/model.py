@@ -267,12 +267,16 @@ class SolveReport:
     objective_trajectory: list = field(default_factory=list)
     residual_trajectory: list = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
     constraint_residuals: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     step_fallbacks: list = field(default_factory=list)
     # Outer iterations whose association search stopped at its node limit.
     assoc_truncated: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Outer iterations run, one objective each."""
+        return len(self.objective_trajectory)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,17 @@ there.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .alternating import (AltConfig, best_feasible, default_initialization,
                           minimal_feasible_tau, solve_joint)
+from .assoc_opt import check_bbu_count
 from .model import (FEASIBILITY_TOL, Allocation, ChannelState,
                     InfeasibleError, NetworkDims, RadioParams, SensingParams,
                     SolveReport, check_constraints, idle_coeff, is_count,
@@ -88,12 +88,15 @@ class ScenarioSpec:
 class SweepSpec:
     """One parameter swept over a grid (a list, tuple or 1-D array), with
     trials_per_point draws per point. Any input the sweep cannot run raises
-    ValueError here, before anything is drawn."""
+    ValueError here, before anything is drawn. points holds each grid
+    value's scenario, built here once for every trial of every run_sweep.
+    """
 
     swept_parameter: str
     grid: tuple
     trials_per_point: int
     base: ScenarioSpec
+    points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         param, base, T = self.swept_parameter, self.base, self.base.sensing.frame_len
@@ -107,23 +110,19 @@ class SweepSpec:
         for value in grid:
             if param == "tau" and not 0.0 < value <= T:
                 raise ValueError(f"sensing time {value!r} s lies outside (0, {T!r}] s")
-            if param in ("target_pd", "target_pfa"):
-                try:
-                    dataclasses.replace(base.sensing, **{param: value})
-                except ValueError as err:
-                    raise ValueError(f"{param} grid value {value!r}: {err}") from None
             if param in ("num_users", "num_rrhs") and not is_count(value, most=np.iinfo(int).max):
                 raise ValueError(f"{param} grid values must be whole numbers from 1 to "
                                  f"{np.iinfo(int).max}, got {grid}")
+        if param == "num_users":  # every point solves the association
+            check_bbu_count(base.dims.num_bbus)
         if param == "num_rrhs":  # every RRH count gets the default layout and links
             default = default_rrh_coords(base.dims.num_rrhs, base.area_side)
-            for name, per_rrh in (
-                    ("rrh_coords", not np.array_equal(base.rrh_coords, default)),
-                    ("fronthaul_cap", np.unique(base.dims.fronthaul_cap).size > 1),
-                    ("max_power", np.ndim(base.radio.max_power) > 0)):
+            for name, per_rrh in (("rrh_coords", not np.array_equal(base.rrh_coords, default)),
+                                  ("fronthaul_cap", np.unique(base.dims.fronthaul_cap).size > 1)):
                 if per_rrh:
                     raise ValueError(f"an RRH-count sweep cannot keep a per-RRH {name}")
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "points", tuple(_point_spec(base, param, v) for v in grid))
 
 
 def default_rrh_coords(num_rrhs: int, area_side: float) -> np.ndarray:
@@ -358,12 +357,6 @@ def optimal_sensing_time(channel: ChannelState, dims: NetworkDims,
     return float(candidates[int(np.argmax(np.where(competes, values, -np.inf)))])
 
 
-def _with_dims(spec: ScenarioSpec, **dim_updates) -> ScenarioSpec:
-    dims = dataclasses.replace(spec.dims, **dim_updates)
-    coords = None if "num_rrhs" in dim_updates else spec.rrh_coords
-    return dataclasses.replace(spec, dims=dims, rrh_coords=coords)
-
-
 def _mean_stderr(values):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -400,8 +393,7 @@ def run_sweep(sweep: SweepSpec, solver_config: AltConfig = AltConfig()) -> list[
     Per-trial infeasibility never aborts the sweep: failed trials are
     dropped from the mean and counted in the row's infeasible_trials.
     """
-    specs = [_point_spec(sweep.base, sweep.swept_parameter, v) for v in sweep.grid]
-    points = zip(*[_trial(sweep, specs, sweep.base.seed + t, solver_config)
+    points = zip(*[_trial(sweep, sweep.base.seed + t, solver_config)
                    for t in range(sweep.trials_per_point)])
     return [_sweep_row(sweep.swept_parameter, value, samples)
             for value, samples in zip(sweep.grid, points)]
@@ -430,19 +422,24 @@ def _pad_users(alloc: Allocation, dims: NetworkDims) -> Allocation:
 
 
 def _point_spec(base: ScenarioSpec, param: str, value) -> ScenarioSpec:
-    """The scenario at one grid point of a sweep of param over base."""
-    if param == "tau":
-        return base
-    if param == "num_rrhs":
-        return _with_dims(base, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0])
-    if param == "num_users":
-        return _with_dims(base, users_per_slice=value)
-    return dataclasses.replace(base, sensing=dataclasses.replace(base.sensing, **{param: value}))
+    """The scenario at one grid point of a sweep of param over base. Building
+    it checks the value (SensingParams owns the targets, ScenarioSpec the
+    per-RRH max_power length): a ValueError names the point."""
+    try:
+        if param == "num_rrhs":  # the default layout, with one link cap
+            return replace(base, rrh_coords=None, dims=replace(
+                base.dims, num_rrhs=value, fronthaul_cap=base.dims.fronthaul_cap.flat[0]))
+        if param == "num_users":
+            return replace(base, dims=replace(base.dims, users_per_slice=value))
+        return base if param == "tau" else replace(
+            base, sensing=replace(base.sensing, **{param: value}))
+    except ValueError as err:
+        raise ValueError(f"{param} grid value {value!r}: {err}") from None
 
 
-def _trial(sweep: SweepSpec, specs: list, seed: int, config: AltConfig) -> list:
-    """One trial's sample at each grid point of sweep, whose scenarios are
-    specs, None where that point is infeasible."""
+def _trial(sweep: SweepSpec, seed: int, config: AltConfig) -> list:
+    """One trial's sample at each grid point of sweep, None where that
+    point is infeasible."""
     param, base = sweep.swept_parameter, sweep.base
     if param in ("tau", "target_pd", "target_pfa"):
         # The swept value moves only tau, so the trial's instance and its
@@ -450,7 +447,7 @@ def _trial(sweep: SweepSpec, specs: list, seed: int, config: AltConfig) -> list:
         channel, _ = generate_instance(base, seed=seed)
         init = default_initialization(channel, base.dims, base.sensing, base.radio)
     samples, last = [], None
-    for value, spec in zip(sweep.grid, specs):
+    for value, spec in zip(sweep.grid, sweep.points):
         dims, sensing, radio = spec.dims, spec.sensing, spec.radio
         try:
             if param == "tau":

@@ -160,6 +160,8 @@ def test_report_bookkeeping(rng):
     _, report = solve_joint(init, channel, dims, sensing, radio)
     assert report.iterations == len(report.objective_trajectory)
     assert len(report.residual_trajectory) == report.iterations
+    with pytest.raises(AttributeError):  # read from the trajectory, never set
+        report.iterations = 0
     assert set(report.wall_times) == {"step1", "step2", "step3"}
     assert all(t >= 0 for t in report.wall_times.values())
     assert report.step_fallbacks == []

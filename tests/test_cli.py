@@ -328,6 +328,24 @@ def test_per_item_value_a_command_cannot_use_exits_3(tmp_path, capsys, command,
     assert key.removesuffix("_dbm") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,code", [
+    ("solve", EXIT_CONFIG), ("sweep-users", EXIT_CONFIG), ("sweep-tau", EXIT_OK),
+    ("sweep-pd", EXIT_OK), ("sweep-pfa", EXIT_OK), ("sweep-rrhs", EXIT_OK),
+    ("interruption", EXIT_OK)])
+def test_more_bbus_than_the_association_search_takes(tmp_path, capsys, command, code):
+    # Step 2 enumerates every BBU subset, so it takes at most 16 BBUs: the
+    # commands that solve an association refuse 17 before anything is drawn,
+    # and the ones that never solve one run.
+    doc = dict(SMALL)
+    doc["dims"] = dict(SMALL["dims"], num_bbus=17, fronthaul_cap=1)
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--trials", "1",
+                 "--out", str(out), "--quiet"]) == code
+    assert out.exists() == (code == EXIT_OK)
+    err = capsys.readouterr().err
+    assert (err.startswith("config error: ") and "num_bbus=17" in err) == (code != EXIT_OK)
+
+
 def test_sweep_rrhs_rejects_a_per_link_fronthaul_matrix(tmp_path, capsys):
     # The sweep rebuilds fronthaul_cap for every RRH count; a per-link matrix
     # has no value for the RRHs it adds, so it is refused, not flattened.

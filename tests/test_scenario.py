@@ -525,6 +525,22 @@ def test_rrh_count_sweep_refuses_per_rrh_inputs():
     SweepSpec("num_rrhs", (2, 3), 1, explicit)
 
 
+def test_rrh_count_sweep_keeps_a_per_rrh_max_power_of_its_count():
+    # A per-RRH budget fits every point whose RRH count is its length, so
+    # such a sweep runs on it; any other count is refused, naming it.
+    spec = small_spec(seed=4)
+    per_rrh = dataclasses.replace(spec, radio=dataclasses.replace(
+        spec.radio, max_power=np.array([1.0, 0.5])))
+    sweep = SweepSpec("num_rrhs", (2, 2), 2, per_rrh)
+    assert all(point.radio is per_rrh.radio for point in sweep.points)
+    rows = run_sweep(sweep)
+    assert [row["num_rrhs"] for row in rows] == [2, 2] and rows[0] == rows[1]
+    assert rows[0]["infeasible_trials"] == 0
+    for grid in ((1, 2), (2, 3)):
+        with pytest.raises(ValueError, match="num_rrhs grid value .*max_power"):
+            SweepSpec("num_rrhs", grid, 1, per_rrh)
+
+
 def test_tau_sweep_rows_and_determinism():
     spec = small_spec(seed=1)
     sweep = SweepSpec(swept_parameter="tau", grid=(0.02, 0.05, 0.1),
@@ -566,18 +582,25 @@ def test_sweep_draws_each_trial_instance_once(monkeypatch, param, grid):
     assert rows == [run_sweep(SweepSpec(param, (v,), 3, spec))[0] for v in grid]
 
 
-@pytest.mark.parametrize("param,grid", [("num_rrhs", (1, 2, 3)), ("num_users", (1, 2))])
+@pytest.mark.parametrize("param,grid", [("num_rrhs", (1, 2, 3)), ("num_users", (1, 2)),
+                                        ("tau", (0.02, 0.05, 0.1)),
+                                        ("target_pd", (0.8, 0.9)),
+                                        ("target_pfa", (0.1, 0.2, 0.3))])
 def test_sweep_builds_each_grid_point_spec_once(monkeypatch, param, grid):
-    # Every trial walks the same grid, so a point's spec serves all of them.
-    built, with_dims = [], scenario._with_dims
+    # SweepSpec builds each point's spec when it is made; every trial of
+    # every run_sweep reads it there.
+    built, point_spec = [], scenario._point_spec
 
-    def counting(spec, **updates):
-        built.append(updates)
-        return with_dims(spec, **updates)
+    def counting(base, param, value):
+        built.append(value)
+        return point_spec(base, param, value)
 
-    monkeypatch.setattr(scenario, "_with_dims", counting)
-    rows = run_sweep(SweepSpec(param, grid, 3, small_spec(seed=2)))
-    assert len(built) == len(grid) and len(rows) == len(grid)
+    monkeypatch.setattr(scenario, "_point_spec", counting)
+    sweep = SweepSpec(param, grid, 3, small_spec(seed=2))
+    assert built == list(grid) and len(sweep.points) == len(grid)
+    rows = run_sweep(sweep)
+    assert len(rows) == len(grid) and run_sweep(sweep) == rows
+    assert built == list(grid)
 
 
 def test_users_sweep_throughput_grows():
